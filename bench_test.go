@@ -279,6 +279,52 @@ func BenchmarkResolvePath(b *testing.B) {
 	}
 }
 
+// BenchmarkGroundPathColdEpoch prices one ground-stage path on a snapshot
+// nobody has asked anything of yet — what the first ground-served request
+// after every epoch swap or sweep step pays: six uplink trees rooted and
+// settled as far as the candidate search needs them.
+func BenchmarkGroundPathColdEpoch(b *testing.B) {
+	c := benchConstellation(b)
+	m := lsn.NewModel(c, groundseg.NewCatalog(), lsn.DefaultConfig())
+	loc := geo.NewPoint(-25.97, 32.57)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		snap := c.Snapshot(time.Duration(i%240) * 15 * time.Second)
+		snap.ISLGraph()
+		b.StartTimer()
+		if _, err := m.ResolvePath(loc, "MZ", snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPathTreeLazyISL prices one ISL leg on a cold snapshot the way the
+// resolve path does (islOneWay): root the serving satellite's tree and ask
+// for the distance and hop count to a replica five hops away.
+func BenchmarkPathTreeLazyISL(b *testing.B) {
+	c := benchConstellation(b)
+	loc := geo.NewPoint(48.85, 2.35)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		snap := c.Snapshot(time.Duration(i%240) * 15 * time.Second)
+		up, ok := snap.BestVisible(loc)
+		if !ok {
+			b.Fatal("no satellite over Paris")
+		}
+		ring := snap.ISLGraph().WithinHops(routing.NodeID(up.ID), 5)
+		replica := ring[len(ring)-1].Node
+		b.StartTimer()
+		tree := snap.PathTree(up.ID)
+		if _, ok := tree.HopsTo(replica); !ok || tree.Dist(replica) <= 0 {
+			b.Fatal("replica unreachable")
+		}
+	}
+}
+
 func BenchmarkSpaceResolve(b *testing.B) {
 	c := benchConstellation(b)
 	m := lsn.NewModel(c, groundseg.NewCatalog(), lsn.DefaultConfig())

@@ -168,22 +168,12 @@ func (v *MaskedView) ISLGraph() *routing.Graph {
 
 // PathTree returns the shortest-path tree over the masked ISL graph rooted
 // at src, memoized in the snapshot's epoch-keyed memo: every request routed
-// through the same uplink in the same fault state shares one Dijkstra run,
-// and healthy trees (epoch 0) are never shadowed. Returns nil when src is
+// through the same uplink in the same fault state shares one tree, and
+// healthy trees (epoch 0) are never shadowed. Returns nil when src is
 // out of range or dead — a dead satellite roots no routes.
 func (v *MaskedView) PathTree(src SatID) *routing.SPTree {
 	if src < 0 || int(src) >= len(v.snap.pos) || !v.Alive(src) {
 		return nil
 	}
-	epoch := v.snap.memoEpoch(v.epoch)
-	if t, ok := v.snap.memo.lookup(src, epoch); ok {
-		v.snap.c.memoHits.Add(1)
-		return t
-	}
-	v.snap.c.memoMisses.Add(1)
-	t := v.ISLGraph().SPTreeFrom(routing.NodeID(src))
-	if t != nil {
-		v.snap.memo.insert(src, epoch, t)
-	}
-	return t
+	return v.snap.memoTree(v, src, v.epoch)
 }

@@ -54,9 +54,15 @@ type memoNode struct {
 }
 
 // pathMemo is a bounded, mutex-guarded LRU from (source, fault epoch) to
-// shortest-path tree. Trees are computed outside the lock — a duplicate
-// computation during a race is harmless because trees are deterministic, and
-// it keeps Dijkstra latency out of the critical section.
+// shortest-path tree. Trees are rooted outside the lock; when two goroutines
+// race on a miss the first insert wins and the other tree is dropped.
+//
+// Retention: a tree that is not yet exhausted keeps a pointer to its graph,
+// so an entry holds its graph alive until the LRU evicts it. On a sweep
+// cursor the healthy graph is one object refreshed in place, so that costs
+// nothing; a masked view's graph, though, outlives clearMasked for as long
+// as trees of that step remain in the LRU — a few past steps' worth (the cap
+// over the ~400 trees a step roots), each graph O(edges).
 type pathMemo struct {
 	mu         sync.Mutex
 	cap        int // max entries; 0 falls back to pathMemoCap
@@ -78,10 +84,11 @@ func (m *pathMemo) lookup(src SatID, epoch uint64) (*routing.SPTree, bool) {
 	return t, true
 }
 
-// insert memoizes a freshly computed tree, evicting the least recently used
-// entry beyond capacity. If a racing goroutine inserted the key first, the
-// existing entry is kept (both trees are identical).
-func (m *pathMemo) insert(src SatID, epoch uint64, t *routing.SPTree) {
+// insert memoizes a freshly rooted tree, evicting the least recently used
+// entry beyond capacity, and returns the memoized tree. If a racing goroutine
+// inserted the key first, its tree is kept and returned, so all callers share
+// the settling work of one tree.
+func (m *pathMemo) insert(src SatID, epoch uint64, t *routing.SPTree) *routing.SPTree {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	capacity := m.cap
@@ -94,7 +101,7 @@ func (m *pathMemo) insert(src SatID, epoch uint64, t *routing.SPTree) {
 	key := memoKey{src: src, epoch: epoch}
 	if nd := m.nodes[key]; nd != nil {
 		m.moveToFront(nd)
-		return
+		return nd.tree
 	}
 	nd := &memoNode{key: key, tree: t}
 	m.nodes[key] = nd
@@ -104,6 +111,7 @@ func (m *pathMemo) insert(src SatID, epoch uint64, t *routing.SPTree) {
 		m.unlink(lru)
 		delete(m.nodes, lru.key)
 	}
+	return t
 }
 
 func (m *pathMemo) pushFront(nd *memoNode) {
@@ -143,31 +151,30 @@ func (m *pathMemo) moveToFront(nd *memoNode) {
 // PathTree returns the single-source shortest-path tree over the snapshot's
 // ISL graph rooted at src, memoized per snapshot under fault epoch 0 (the
 // healthy topology): every client resolving through the same uplink
-// satellite shares one Dijkstra run. Returns nil when src is out of range.
+// satellite shares one tree, which settles only as far as its queries reach
+// (routing.SPTree). A miss therefore costs the tree's allocation, not a
+// Dijkstra. Returns nil when src is out of range.
+//
+// On a sweep cursor's snapshot the tree is valid only until the cursor next
+// advances: the advance refreshes the graph's weights in place, and the memo
+// never serves a tree across it (the generation is part of the key).
 func (s *Snapshot) PathTree(src SatID) *routing.SPTree {
-	epoch := s.memoEpoch(0)
+	return s.memoTree(s, src, 0)
+}
+
+// memoTree serves the tree rooted at src for one fault epoch of this
+// snapshot, rooting it in the topology's graph (the snapshot's own, or a
+// masked view's) on a miss.
+func (s *Snapshot) memoTree(topo interface{ ISLGraph() *routing.Graph }, src SatID, faultEpoch uint64) *routing.SPTree {
+	epoch := s.memoEpoch(faultEpoch)
 	if t, ok := s.memo.lookup(src, epoch); ok {
 		s.c.memoHits.Add(1)
 		return t
 	}
 	s.c.memoMisses.Add(1)
-	t := s.ISLGraph().SPTreeFrom(routing.NodeID(src))
-	if t != nil {
-		s.memo.insert(src, epoch, t)
+	t := topo.ISLGraph().SPTreeFrom(routing.NodeID(src))
+	if t == nil {
+		return nil
 	}
-	return t
-}
-
-// PathTreeWithin returns a tree whose entries are exact for every node with
-// distance at most maxCost from src. A memoized full tree satisfies any
-// bound and is served directly; on a miss, a cost-bounded Dijkstra runs
-// without populating the memo (bounded trees must not masquerade as full
-// ones). Returns nil when src is out of range.
-func (s *Snapshot) PathTreeWithin(src SatID, maxCost float64) *routing.SPTree {
-	if t, ok := s.memo.lookup(src, s.memoEpoch(0)); ok {
-		s.c.memoHits.Add(1)
-		return t
-	}
-	s.c.memoMisses.Add(1)
-	return s.ISLGraph().SPTreeFromWithin(routing.NodeID(src), maxCost)
+	return s.memo.insert(src, epoch, t)
 }

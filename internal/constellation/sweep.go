@@ -20,7 +20,9 @@ type Cursor interface {
 	Time() time.Duration
 	// Step returns the cursor's nominal step (0 for AdvanceTo-only cursors).
 	Step() time.Duration
-	// Advance moves one step forward and returns the snapshot there.
+	// Advance moves one step forward and returns the snapshot there. What
+	// was obtained from the previous snapshot — path trees included — must
+	// not be used afterwards.
 	Advance() *Snapshot
 	// AdvanceTo moves to an arbitrary time at or after the current time and
 	// returns the snapshot there. Moving backwards panics.
@@ -45,6 +47,10 @@ type Cursor interface {
 // O(what moved) steps. Concurrent readers of the current snapshot are safe
 // (experiments fan batch resolution out over it); advancing while any reader
 // is still active is a data race, exactly like mutating any shared value.
+// The same holds for anything obtained from that snapshot, path trees above
+// all: a routing.SPTree settles on demand over the graph whose weights the
+// advance rewrites, so a tree is good for the step it was rooted in and must
+// not be queried after it (the memo never serves one across an advance).
 type Sweep struct {
 	c      *Constellation
 	step   time.Duration

@@ -164,6 +164,40 @@ func TestSweepMaskedMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestSweepNeverServesATreeAcrossAdvance pins the lifetime of a lazy path
+// tree under the sweep cursor: the advance refreshes the graph's weights in
+// place, so a tree rooted before it — here only partly settled — would resume
+// over the wrong weights. The memo must root a new one for the new step.
+func TestSweepNeverServesATreeAcrossAdvance(t *testing.T) {
+	c := MustNew(DefaultConfig())
+	sw := c.Sweep(0, time.Minute)
+	defer sw.Close()
+	const src, near, far = 100, 101, 900
+
+	before := sw.At().PathTree(src)
+	before.Dist(near) // settles a handful of nodes and stops
+	if sw.At().PathTree(src) != before {
+		t.Fatal("within one step the memo must serve the same tree")
+	}
+	snap := sw.Advance()
+	after := snap.PathTree(src)
+	if after == before {
+		t.Fatal("memo served a tree rooted before the advance")
+	}
+	want := c.Snapshot(time.Minute).ISLGraph().ShortestPathsFrom(src)
+	for _, n := range []routing.NodeID{near, far} {
+		if got := after.Dist(n); got != want[n] {
+			t.Fatalf("dist to %d after the advance: %v, fresh snapshot says %v", n, got, want[n])
+		}
+	}
+	// Masked views of the advanced snapshot root their own trees as well.
+	dead := routing.NewBitset(c.Total())
+	dead.Set(far)
+	if mt := snap.Masked(3, dead, nil).PathTree(src); mt == after || mt == before || mt.Reachable(far) {
+		t.Fatal("masked view must price off its own tree")
+	}
+}
+
 // TestSweepPooledReuse proves a cursor recycled through the pool starts a new
 // sweep from clean state: same outputs as an unpooled reference, and memo
 // generations never collide with the previous sweep's entries.

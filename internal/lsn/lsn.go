@@ -202,69 +202,87 @@ func (m *Model) resolvePathVia(snap topology, client geo.Point, pop groundseg.Po
 	}
 	// Pre-compute visibility and the fiber tail per station.
 	type gsInfo struct {
-		gs    groundseg.GroundStation
-		vis   []constellation.VisibleSat
-		fiber time.Duration
+		station int // index into stations
+		vis     []constellation.VisibleSat
+		fiber   time.Duration
 	}
-	var gss []gsInfo
-	for _, gs := range stations {
-		vis := snap.VisibleShared(gs.Loc)
+	gss := make([]gsInfo, 0, len(stations))
+	for i := range stations {
+		vis := snap.VisibleShared(stations[i].Loc)
 		if len(vis) == 0 {
 			continue
 		}
 		gss = append(gss, gsInfo{
-			gs:    gs,
-			vis:   vis,
-			fiber: terrestrial.FiberDelay(geo.HaversineKm(gs.Loc, pop.Loc) * 1.4),
+			station: i,
+			vis:     vis,
+			fiber:   terrestrial.FiberDelay(geo.HaversineKm(stations[i].Loc, pop.Loc) * 1.4),
 		})
 	}
 	if len(gss) == 0 {
 		return Path{}, fmt.Errorf("%w: no station of PoP %s has coverage", ErrNoVisibility, pop.Name)
 	}
 
-	best := Path{}
-	bestCost := time.Duration(1<<63 - 1)
-	found := false
+	// Branch and bound over (uplink, station, downlink) in a fixed order,
+	// keeping the first cheapest: only a strictly cheaper candidate replaces
+	// the incumbent. A candidate whose radio and fiber legs alone reach the
+	// incumbent is skipped, and the rest ask the uplink's tree for an ISL leg
+	// within what the incumbent leaves over — the tree then settles no
+	// further than that, instead of out to downlink satellites on the other
+	// half of the shell that no path would ever use. The budget is a
+	// nanosecond generous, so float rounding can only admit a candidate the
+	// exact comparison below then rejects, never prune one that would win.
+	var (
+		bestCost         = time.Duration(math.MaxInt64)
+		bestISL          time.Duration
+		bestUp, bestDown constellation.VisibleSat
+		bestGS           *gsInfo
+		bestTree         *routing.SPTree
+	)
 	for _, up := range ups {
 		// The snapshot memoizes one shortest-path tree per uplink satellite,
 		// so repeated resolves through the same serving satellite — every
-		// client in a city — price their candidates off a single Dijkstra.
+		// client in a city — share what it has already settled.
 		tree := snap.PathTree(up.ID)
 		if tree == nil {
 			continue
 		}
-		for _, gi := range gss {
+		upDelay := orbit.PropagationDelay(up.SlantKm)
+		for i := range gss {
+			gi := &gss[i]
 			for _, down := range gi.vis {
-				islMs := tree.Dist(routing.NodeID(down.ID))
-				if math.IsInf(islMs, 1) {
+				legs := upDelay + orbit.PropagationDelay(down.SlantKm) + gi.fiber
+				if legs >= bestCost {
 					continue
 				}
-				p := Path{
-					Client:        client,
-					PoP:           pop,
-					GS:            gi.gs,
-					UpSat:         up.ID,
-					DownSat:       down.ID,
-					UplinkDelay:   orbit.PropagationDelay(up.SlantKm),
-					ISLDelay:      time.Duration(islMs * float64(time.Millisecond)),
-					DownlinkDelay: orbit.PropagationDelay(down.SlantKm),
-					GSFiberDelay:  gi.fiber,
+				budgetMs := (float64(bestCost-legs) + 1) / float64(time.Millisecond)
+				islMs, ok := tree.DistWithin(routing.NodeID(down.ID), budgetMs)
+				if !ok {
+					continue
 				}
-				if cost := p.OneWayPropagation(); cost < bestCost {
-					bestCost = cost
-					best = p
-					found = true
+				isl := time.Duration(islMs * float64(time.Millisecond))
+				if cost := legs + isl; cost < bestCost {
+					bestCost, bestISL = cost, isl
+					bestUp, bestDown, bestGS, bestTree = up, down, gi, tree
 				}
 			}
 		}
 	}
-	if !found {
+	if bestTree == nil {
 		return Path{}, fmt.Errorf("%w: no ISL route to PoP %s", ErrNoVisibility, pop.Name)
 	}
+	best := Path{
+		Client:        client,
+		PoP:           pop,
+		GS:            stations[bestGS.station],
+		UpSat:         bestUp.ID,
+		DownSat:       bestDown.ID,
+		UplinkDelay:   orbit.PropagationDelay(bestUp.SlantKm),
+		ISLDelay:      bestISL,
+		DownlinkDelay: orbit.PropagationDelay(bestDown.SlantKm),
+		GSFiberDelay:  bestGS.fiber,
+	}
 	if best.UpSat != best.DownSat {
-		if hops, ok := snap.PathTree(best.UpSat).HopsTo(routing.NodeID(best.DownSat)); ok {
-			best.ISLHops = hops
-		}
+		best.ISLHops, _ = bestTree.HopsTo(routing.NodeID(best.DownSat))
 	}
 	return best, nil
 }

@@ -16,12 +16,13 @@ import (
 //     bumps the epoch. Invalidating the whole arena is therefore one integer
 //     increment instead of an O(n) clear. When the 32-bit epoch wraps, the
 //     stamps are cleared once — every four billion queries, not every query.
-//   - The priority queue is an index-based binary heap over a concrete item
-//     type, so pushes and pops never box through the container/heap
-//     interface. Its sift rules replicate container/heap exactly (strict
-//     less-than, left child preferred on ties), which keeps the pop order —
-//     and therefore the tie-breaking among equal-cost paths — bit-identical
-//     to the previous implementation.
+//   - The priority queue is spHeap, an index-based binary heap over a
+//     concrete item type, so pushes and pops never box through the
+//     container/heap interface. Its sift rules replicate container/heap
+//     exactly (strict less-than, left child preferred on ties), which keeps
+//     the pop order — and therefore the tie-breaking among equal-cost paths —
+//     bit-identical to the previous implementation. SPTree keeps one of its
+//     own, so a tree and a scratch query pop ties in the same order.
 //
 // Scratches are pooled per goroutine via sync.Pool, so a graph shared by a
 // worker pool can run concurrent queries race-free with zero steady-state
@@ -40,8 +41,8 @@ type scratch struct {
 	stamp []uint32 // dist/prev valid iff stamp[i] == epoch
 	dist  []float64
 	prev  []int32
-	heap  []spItem // Dijkstra priority queue
-	queue []int32  // BFS frontier, consumed via a head cursor
+	heap  spHeap  // Dijkstra priority queue
+	queue []int32 // BFS frontier, consumed via a head cursor
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
@@ -88,11 +89,14 @@ func (sc *scratch) distAt(i int32) float64 {
 	return math.Inf(1)
 }
 
-// hpush appends an item and sifts it up. The comparison and swap pattern
+// spHeap is the Dijkstra priority queue: a binary min-heap on dist.
+type spHeap []spItem
+
+// push appends an item and sifts it up. The comparison and swap pattern
 // match container/heap's up() exactly.
-func (sc *scratch) hpush(node int32, d float64) {
-	sc.heap = append(sc.heap, spItem{dist: d, node: node})
-	h := sc.heap
+func (hp *spHeap) push(node int32, d float64) {
+	*hp = append(*hp, spItem{dist: d, node: node})
+	h := *hp
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
@@ -104,12 +108,12 @@ func (sc *scratch) hpush(node int32, d float64) {
 	}
 }
 
-// hpop removes and returns the minimum item. It mirrors container/heap's
+// pop removes and returns the minimum item. It mirrors container/heap's
 // Pop: swap root with the last element, sift down over the shortened heap
 // (left child preferred unless the right is strictly smaller), then cut the
 // tail — so ties pop in the same order as the boxed implementation did.
-func (sc *scratch) hpop() spItem {
-	h := sc.heap
+func (hp *spHeap) pop() spItem {
+	h := *hp
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	i := 0
@@ -129,6 +133,6 @@ func (sc *scratch) hpop() spItem {
 		i = j
 	}
 	it := h[n]
-	sc.heap = h[:n]
+	*hp = h[:n]
 	return it
 }

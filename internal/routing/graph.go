@@ -159,7 +159,7 @@ func (g *Graph) ShortestPath(src, dst NodeID) (Path, bool) {
 	}
 	sc := getScratch(n)
 	defer putScratch(sc)
-	g.runDijkstra(sc, src, dst, math.Inf(1))
+	g.runDijkstra(sc, src, dst)
 	if math.IsInf(sc.distAt(int32(dst)), 1) {
 		return Path{}, false
 	}
@@ -176,7 +176,7 @@ func (g *Graph) ShortestPathsFrom(src NodeID) []float64 {
 	}
 	sc := getScratch(n)
 	defer putScratch(sc)
-	g.runDijkstra(sc, src, -1, math.Inf(1))
+	g.runDijkstra(sc, src, -1)
 	dist := make([]float64, n)
 	for i := range dist {
 		dist[i] = sc.distAt(int32(i))
@@ -185,25 +185,18 @@ func (g *Graph) ShortestPathsFrom(src NodeID) []float64 {
 }
 
 // runDijkstra executes Dijkstra from src into the scratch arena. It stops
-// early when stopAt is settled (pass -1 to settle everything) or when the
-// frontier's distance exceeds maxCost (pass +Inf for no bound); because pops
-// are non-decreasing, every node whose true distance is within the bound is
-// settled — with the exact distance and predecessor the unbounded run would
-// produce — before the cutoff triggers. The caller must own sc and read
-// results through the same epoch.
-func (g *Graph) runDijkstra(sc *scratch, src, stopAt NodeID, maxCost float64) {
+// early when stopAt is settled (pass -1 to settle everything). The caller
+// must own sc and read results through the same epoch.
+func (g *Graph) runDijkstra(sc *scratch, src, stopAt NodeID) {
 	start := time.Now()
 	defer func() {
 		ops.dijkstras.Add(1)
 		ops.dijkstraNanos.Add(int64(time.Since(start)))
 	}()
 	sc.mark(int32(src), 0, -1)
-	sc.hpush(int32(src), 0)
+	sc.heap.push(int32(src), 0)
 	for len(sc.heap) > 0 {
-		it := sc.hpop()
-		if it.dist > maxCost {
-			return
-		}
+		it := sc.heap.pop()
 		if it.dist > sc.dist[it.node] {
 			continue // stale entry
 		}
@@ -214,7 +207,7 @@ func (g *Graph) runDijkstra(sc *scratch, src, stopAt NodeID, maxCost float64) {
 			to := int32(e.To)
 			if nd := it.dist + e.Weight; !sc.seen(to) || nd < sc.dist[to] {
 				sc.mark(to, nd, it.node)
-				sc.hpush(to, nd)
+				sc.heap.push(to, nd)
 			}
 		}
 	}

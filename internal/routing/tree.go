@@ -1,49 +1,61 @@
 package routing
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
-// SPTree is a materialized single-source shortest-path tree: the distances
-// and predecessors Dijkstra settles from one source. It is immutable once
-// built and safe for concurrent readers, which makes it the unit of sharing
-// for per-snapshot memoization — every request resolving through the same
-// uplink satellite prices its candidate paths off one shared tree instead of
-// re-running Dijkstra.
+// SPTree is a single-source shortest-path tree that settles on demand: it
+// owns Dijkstra's state (tentative distances, predecessors, the priority
+// queue) and a query resumes the search only until the asked node is popped.
+// Pricing a handful of nearby nodes therefore costs a handful of pops, not a
+// pass over the graph, while a query for a far node pays for everything
+// nearer on the way. Because a resumed search pops in exactly the order of an
+// uninterrupted one, every distance, predecessor and tie is the one a full
+// Dijkstra from the source settles, whatever the order of the queries.
+//
+// A tree is the unit of sharing for per-snapshot memoization and is safe for
+// concurrent use. A node's settled bit is published atomically once its
+// distance and predecessor are final, so queries on settled nodes — the warm
+// case — take no lock; only resuming the search takes the tree's mutex.
+//
+// The tree reads edge weights from its graph as it goes, so it is valid only
+// while those weights stand: a tree rooted in a CSR graph must not be
+// queried after SetCSRWeights refreshes that graph.
 type SPTree struct {
+	g    *Graph
 	src  NodeID
-	dist []float64 // +Inf where unreachable (or beyond a build bound)
+	dist []float64 // final where settled; tentative or +Inf elsewhere
 	prev []int32   // -1 where no predecessor
+	done []atomic.Uint32
+
+	mu   sync.Mutex // guards heap and the unsettled part of dist/prev
+	heap spHeap     // nil once the search is exhausted
 }
 
-// SPTreeFrom runs Dijkstra from src over the whole graph and returns the
-// settled tree. Returns nil when src is out of range.
+// SPTreeFrom roots a shortest-path tree at src. Nothing is settled until the
+// tree is asked. Returns nil when src is out of range.
 func (g *Graph) SPTreeFrom(src NodeID) *SPTree {
-	return g.SPTreeFromWithin(src, math.Inf(1))
-}
-
-// SPTreeFromWithin is the cost-bounded variant of SPTreeFrom: the search
-// stops expanding once the frontier exceeds maxCost. Every node whose true
-// distance is at most maxCost carries the exact distance and predecessor the
-// unbounded run would produce; nodes beyond the bound read as unreachable.
-// Use it when the caller can bound the interesting radius — e.g. pricing an
-// n-hop neighbourhood costs at most n*MaxEdgeWeight.
-func (g *Graph) SPTreeFromWithin(src NodeID, maxCost float64) *SPTree {
 	n := len(g.adj)
 	if src < 0 || int(src) >= n {
 		return nil
 	}
-	sc := getScratch(n)
-	defer putScratch(sc)
-	g.runDijkstra(sc, src, -1, maxCost)
-	t := &SPTree{src: src, dist: make([]float64, n), prev: make([]int32, n)}
-	for i := 0; i < n; i++ {
-		if sc.seen(int32(i)) {
-			t.dist[i] = sc.dist[i]
-			t.prev[i] = sc.prev[i]
-		} else {
-			t.dist[i] = math.Inf(1)
-			t.prev[i] = -1
-		}
+	ops.dijkstras.Add(1)
+	t := &SPTree{
+		g:    g,
+		src:  src,
+		dist: make([]float64, n),
+		prev: make([]int32, n),
+		done: make([]atomic.Uint32, (n+31)/32),
 	}
+	for i := range t.dist {
+		t.dist[i] = math.Inf(1)
+		t.prev[i] = -1
+	}
+	t.dist[src] = 0
+	t.heap.push(int32(src), 0)
 	return t
 }
 
@@ -53,21 +65,78 @@ func (t *SPTree) Src() NodeID { return t.src }
 // Len returns the number of nodes the tree covers.
 func (t *SPTree) Len() int { return len(t.dist) }
 
-// Dist returns the settled distance from the source to n, or +Inf when n is
-// unreachable, beyond the build bound, or out of range.
+func (t *SPTree) settled(n int32) bool { return t.done[n>>5].Load()&(1<<uint(n&31)) != 0 }
+
+// Dist returns the shortest distance from the source to n, or +Inf when n is
+// unreachable or out of range.
 func (t *SPTree) Dist(n NodeID) float64 {
-	if n < 0 || int(n) >= len(t.dist) {
-		return math.Inf(1)
-	}
-	return t.dist[n]
+	d, _ := t.DistWithin(n, math.Inf(1))
+	return d
 }
 
-// Reachable reports whether n was settled within the tree's bound.
+// DistWithin returns the shortest distance to n when it is at most budget.
+// The search stops as soon as its frontier exceeds the budget, so a node
+// beyond it — or unreachable, or out of range — reads (+Inf, false) without
+// being settled; a later call with a larger budget resumes from there.
+func (t *SPTree) DistWithin(n NodeID, budget float64) (float64, bool) {
+	if n < 0 || int(n) >= len(t.dist) {
+		return math.Inf(1), false
+	}
+	if t.settled(int32(n)) || t.settle(int32(n), budget) {
+		if d := t.dist[n]; d <= budget && d < math.Inf(1) {
+			return d, true
+		}
+	}
+	return math.Inf(1), false
+}
+
+// settle resumes Dijkstra until n is popped, the frontier exceeds budget, or
+// the heap drains, and reports whether n is settled. Pops are non-decreasing,
+// so a frontier beyond the budget proves every unsettled node is beyond it.
+func (t *SPTree) settle(n int32, budget float64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.settled(n) {
+		return true
+	}
+	if t.heap[0].dist > budget {
+		return false // ruled out by the frontier as it stands: no clock read
+	}
+	start := time.Now()
+	for !t.settled(n) && t.heap[0].dist <= budget {
+		it := t.heap.pop()
+		if it.dist <= t.dist[it.node] { // else a stale entry
+			// dist/prev of a popped node never change again: publish it.
+			w := &t.done[it.node>>5]
+			w.Store(w.Load() | 1<<uint(it.node&31))
+			for _, e := range t.g.adj[it.node] {
+				if nd := it.dist + e.Weight; nd < t.dist[e.To] {
+					t.dist[e.To] = nd
+					t.prev[e.To] = it.node
+					t.heap.push(int32(e.To), nd)
+				}
+			}
+		}
+		if len(t.heap) == 0 {
+			// Exhausted: what is still unsettled is unreachable at +Inf, and
+			// final. Mark everything settled so no query locks again, and
+			// release the heap and the graph.
+			for i := range t.done {
+				t.done[i].Store(^uint32(0))
+			}
+			t.heap, t.g = nil, nil
+		}
+	}
+	ops.dijkstraNanos.Add(int64(time.Since(start)))
+	return t.settled(n)
+}
+
+// Reachable reports whether n can be reached from the source.
 func (t *SPTree) Reachable(n NodeID) bool { return !math.IsInf(t.Dist(n), 1) }
 
-// HopsTo returns the edge count of the settled shortest path from the source
-// to n by walking the predecessor chain — no allocation. ok is false when n
-// is unreachable or out of range.
+// HopsTo returns the edge count of the shortest path from the source to n by
+// walking the predecessor chain — no allocation. ok is false when n is
+// unreachable or out of range.
 func (t *SPTree) HopsTo(n NodeID) (int, bool) {
 	if !t.Reachable(n) {
 		return 0, false
@@ -79,7 +148,7 @@ func (t *SPTree) HopsTo(n NodeID) (int, bool) {
 	return hops, true
 }
 
-// PathTo materializes the settled path from the source to n. ok is false
+// PathTo materializes the shortest path from the source to n. ok is false
 // when n is unreachable or out of range.
 func (t *SPTree) PathTo(n NodeID) (Path, bool) {
 	hops, ok := t.HopsTo(n)

@@ -193,13 +193,16 @@ func TestLifecycleApplierCoalescing(t *testing.T) {
 // for an identical flight key.
 func TestLifecycleApplierWindowReset(t *testing.T) {
 	s := newSystem(t, DefaultConfig())
-	s.SetLifecycle(lifecycle.NewManager(lifecycle.DefaultPolicy(), testConst.Total()))
+	policy := lifecycle.DefaultPolicy()
+	s.SetLifecycle(lifecycle.NewManager(policy, testConst.Total()))
 	stop := s.StartLifecycleApplier(4)
 	maputo := geo.NewPoint(-25.9692, 32.5732)
-	// An API-class object: its 1s TTL expires between the two instants, so
-	// the second-epoch request needs origin again rather than serving fresh.
+	// An API-class object, asked for again once its TTL and its stale window
+	// have both run out. The applier races the second request: if the first
+	// fill has landed the copy is expired, if it has not there is no copy —
+	// either way the second epoch needs origin again.
 	obj := classedObject("applier-window", content.ClassAPI)
-	for i, tm := range []time.Duration{0, 30 * time.Second} {
+	for i, tm := range []time.Duration{0, policy.API.TTL + policy.API.StaleFor + time.Second} {
 		ep := s.NewEpoch(uint64(i+1), testConst.Snapshot(tm))
 		if _, err := s.ResolveAt(ep, maputo, "MZ", obj, stats.NewRand(int64(i))); err != nil {
 			t.Fatalf("epoch %d: %v", i, err)

@@ -319,14 +319,12 @@ func (s *System) FetchAtHops(client geo.Point, n int, snap *constellation.Snapsh
 	}
 	g := snap.ISLGraph()
 	ring := g.WithinHops(routing.NodeID(up.ID), n)
-	// One bounded Dijkstra from the serving satellite prices every candidate
-	// (any node n BFS hops out costs at most n*MaxEdgeWeight, so the bounded
-	// run settles the whole ring exactly); the memoized full tree is served
-	// instead when this uplink was already priced. The per-hop switching
-	// uses the BFS hop count (the weighted path's hop count differs only
-	// when a longer-hop route is cheaper, where the sub-millisecond
-	// switching difference is negligible).
-	tree := snap.PathTreeWithin(up.ID, float64(n)*g.MaxEdgeWeight())
+	// The serving satellite's memoized tree prices every candidate, settling
+	// no further than the farthest ring member. The per-hop switching uses
+	// the BFS hop count (the weighted path's hop count differs only when a
+	// longer-hop route is cheaper, where the sub-millisecond switching
+	// difference is negligible).
+	tree := snap.PathTree(up.ID)
 	cheapestMs := -1.0
 	for _, hr := range ring {
 		if hr.Hops != n {

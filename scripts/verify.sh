@@ -10,6 +10,8 @@
 #   build  go build
 #   test   go test
 #   race   go test -race
+#   benchmod  vet and test the repository benchmark (bench/), a nested module
+#          the root `go test ./...` never sees
 #   smoke  CLI run asserting the telemetry artifact parses with non-zero
 #          request counters
 #   observe  full observability smoke: a backgrounded run with the live
@@ -53,7 +55,7 @@
 #          bench stage first if artifacts are missing)
 #
 # No arguments runs the full local gate: fmt vet build staticcheck test
-# race smoke observe.
+# benchmod race smoke observe.
 # The script is non-interactive and exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -89,6 +91,10 @@ stage_test() {
 
 stage_race() {
 	go test -race ./...
+}
+
+stage_benchmod() {
+	(cd bench && go vet ./... && go test ./...)
 }
 
 stage_smoke() {
@@ -186,12 +192,12 @@ stage_benchdiff() {
 
 stages="$*"
 if [ -z "$stages" ]; then
-	stages="fmt vet build staticcheck test race smoke observe"
+	stages="fmt vet build staticcheck test benchmod race smoke observe"
 fi
 
 for stage in $stages; do
 	case "$stage" in
-	fmt | vet | build | staticcheck | test | race | smoke | observe | bench | scale | serve | lifecycle | benchdiff) ;;
+	fmt | vet | build | staticcheck | test | benchmod | race | smoke | observe | bench | scale | serve | lifecycle | benchdiff) ;;
 	*)
 		echo "verify: unknown stage '$stage'" >&2
 		exit 2
