@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,80 @@ func BenchmarkVisibleQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = snap.Visible(loc)
 	}
+}
+
+// benchCityPoints returns the points the traffic model pins its users to:
+// the embedded cities of Starlink-covered countries.
+func benchCityPoints() []geo.Point {
+	var pts []geo.Point
+	for _, city := range geo.Cities() {
+		if country, ok := geo.CountryByISO(city.Country); ok && country.Starlink {
+			pts = append(pts, city.Loc)
+		}
+	}
+	return pts
+}
+
+// visibleSink keeps the visibility benchmarks' results alive.
+var visibleSink struct {
+	best constellation.VisibleSat
+	sats atomic.Int64 // the parallel benchmark's goroutines each add once
+}
+
+// BenchmarkBestVisibleHit and BenchmarkBestVisibleMiss are twins over the
+// same city points: the hit twin asks a snapshot that has already elected
+// every city's satellite (the steady state of a serving epoch), the miss
+// twin advances a sweep cursor one generation per pass over the cities, so
+// every query elects (a cold epoch, and what arbitrary-point callers pay).
+func BenchmarkBestVisibleHit(b *testing.B) {
+	snap := benchConstellation(b).Snapshot(0)
+	pts := benchCityPoints()
+	for _, pt := range pts {
+		snap.BestVisible(pt)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		visibleSink.best, _ = snap.BestVisible(pts[i%len(pts)])
+	}
+}
+
+func BenchmarkBestVisibleMiss(b *testing.B) {
+	sw := benchConstellation(b).Sweep(0, 15*time.Second)
+	defer sw.Close()
+	pts := benchCityPoints()
+	snap := sw.At()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(pts) == 0 {
+			b.StopTimer()
+			snap = sw.Advance()
+			b.StartTimer()
+		}
+		visibleSink.best, _ = snap.BestVisible(pts[i%len(pts)])
+	}
+}
+
+// BenchmarkVisibleSharedParallel reads memoized visible lists from every
+// core at once — the ground stage's access pattern under a parallel batch
+// resolve. Compare ns/op across -cpu 1,2: with no lock on the read path it
+// must not rise with the core count.
+func BenchmarkVisibleSharedParallel(b *testing.B) {
+	snap := benchConstellation(b).Snapshot(0)
+	pts := benchCityPoints()
+	for _, pt := range pts {
+		snap.VisibleShared(pt)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		sats := 0
+		for i := 0; pb.Next(); i++ {
+			sats += len(snap.VisibleShared(pts[i%len(pts)]))
+		}
+		visibleSink.sats.Add(int64(sats))
+	})
 }
 
 func BenchmarkResolvePath(b *testing.B) {

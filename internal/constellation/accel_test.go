@@ -318,15 +318,17 @@ func BenchmarkISLGraphBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBestVisibleGrid times the grid query itself — what a memo miss
+// pays — by calling it under the memo (Snapshot.BestVisible would hit).
 func BenchmarkBestVisibleGrid(b *testing.B) {
 	c := MustNew(DefaultConfig())
 	snap := c.Snapshot(0)
 	pt := geo.NewPoint(40.7, -74)
-	snap.BestVisible(pt)
+	grid := snap.visGridLazy()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap.BestVisible(pt)
+		grid.bestVisible(snap, pt)
 	}
 }
 

@@ -278,25 +278,24 @@ type Snapshot struct {
 	gridOnce sync.Once
 	grid     *visGrid // lat/lon cell index, built once on first visibility query
 
-	// memoGen distinguishes sweep steps in the path memo: a sweep cursor
-	// mutates its snapshot in place and bumps the generation each advance,
-	// so memo keys become (source, step, fault epoch) without any per-step
-	// clearing. Always 0 for a fresh immutable snapshot.
+	// memoGen distinguishes sweep steps in the path and ground-point memos: a
+	// sweep cursor mutates its snapshot in place and bumps the generation
+	// each advance, so path-memo keys become (source, step, fault epoch) and
+	// ground-point entries carry their step, without any per-step clearing.
+	// Always 0 for a fresh immutable snapshot.
 	memoGen uint32
 	memo    pathMemo // per-snapshot shortest-path trees, keyed (source, generation, fault epoch)
 
 	maskMu sync.Mutex
 	masked map[uint64]*MaskedView // fault epoch -> cached fault-aware view
 
-	// Visibility memo: ground stations and city clients query Visible at the
-	// same points thousands of times per snapshot, and the list's size (and
-	// sort cost) grows with the constellation — without the memo the ground
-	// fallback stage alone makes resolve throughput degrade linearly in
-	// satellite count. Entries are retired by sweep generation, like the path
-	// memo, but with a lazy clear so advances stay allocation-free.
-	visMu   sync.Mutex
-	visGen  uint32
-	visMemo map[geo.Point][]VisibleSat
+	// ground memoizes, per ground point, the overhead satellite and (once
+	// asked for) the visible list: clients sit at a few hundred fixed points
+	// and every request starts by asking which satellite is overhead, and the
+	// ground stage asks for the same stations' lists thousands of times per
+	// snapshot. Lock-free, allocated on first use, retired by sweep
+	// generation like the path memo — see groundmemo.go.
+	ground groundMemo
 }
 
 // memoEpoch composes the snapshot's sweep generation with a fault epoch into
@@ -510,43 +509,6 @@ func (s *Snapshot) Visible(ground geo.Point) []VisibleSat {
 	return s.visGridLazy().visible(s, ground)
 }
 
-// visMemoCap bounds the per-snapshot visibility memo. The working set is the
-// fixed ground segment plus the client cities — a few hundred points — so the
-// cap only matters for pathological query mixes, where excess points are
-// simply served unmemoized.
-const visMemoCap = 4096
-
-// VisibleShared returns the same elevation-sorted list as Visible, memoized
-// per snapshot and query point. The returned slice is shared with every other
-// caller of the same point — treat it as read-only. Ground stations and
-// recurring clients resolve thousands of times against one snapshot, and the
-// visible list's size grows with the constellation, so memoizing here is what
-// keeps the ground-fallback resolve stage sub-linear in satellite count.
-// Sweep advances retire entries by generation (lazily, so advances stay
-// allocation-free); a duplicate compute during a racing first query is
-// harmless because the lists are deterministic.
-func (s *Snapshot) VisibleShared(ground geo.Point) []VisibleSat {
-	s.visMu.Lock()
-	if s.visMemo == nil {
-		s.visMemo = make(map[geo.Point][]VisibleSat, 64)
-	} else if s.visGen != s.memoGen {
-		clear(s.visMemo)
-	}
-	s.visGen = s.memoGen
-	if out, ok := s.visMemo[ground]; ok {
-		s.visMu.Unlock()
-		return out
-	}
-	s.visMu.Unlock()
-	out := s.Visible(ground)
-	s.visMu.Lock()
-	if len(s.visMemo) < visMemoCap && s.visGen == s.memoGen {
-		s.visMemo[ground] = out
-	}
-	s.visMu.Unlock()
-	return out
-}
-
 // VisibleScan is the reference implementation of Visible: a linear scan over
 // every satellite. Kept for equivalence tests and benchmark baselines.
 func (s *Snapshot) VisibleScan(ground geo.Point) []VisibleSat {
@@ -583,14 +545,6 @@ func sortByElevation(out []VisibleSat) {
 		}
 		return out[i].ID < out[j].ID
 	})
-}
-
-// BestVisible returns the highest-elevation visible satellite. ok is false
-// when no satellite is above the mask (possible at extreme latitudes for an
-// inclined shell). The grid-backed query allocates nothing, which keeps the
-// per-request resolve path allocation-free.
-func (s *Snapshot) BestVisible(ground geo.Point) (VisibleSat, bool) {
-	return s.visGridLazy().bestVisible(s, ground)
 }
 
 // BestVisibleScan is the reference implementation of BestVisible (full scan

@@ -111,7 +111,7 @@ func (v *MaskedView) Visible(ground geo.Point) []VisibleSat {
 }
 
 // VisibleShared is the memo-backed form of Visible: the healthy list comes
-// from the snapshot's visibility memo, and a fault-epoch view filters it into
+// from the snapshot's ground-point memo, and a fault-epoch view filters it into
 // a fresh slice (never in place — the memoized list is shared). Callers must
 // treat the result as read-only, like Snapshot.VisibleShared.
 func (v *MaskedView) VisibleShared(ground geo.Point) []VisibleSat {

@@ -72,6 +72,7 @@ type gridGeom struct {
 	capRows          int     // rows at each pole merged into one cell per row
 
 	sinLo, sinHi []float64 // per-row sin(latitude) band bounds, margin-shrunk
+	minCos       []float64 // per-row smallest cos(latitude), at the band edge nearer a pole
 	cosB, sinB   []float64 // unit direction of each column boundary meridian
 }
 
@@ -92,6 +93,7 @@ func newGridGeom(n int) *gridGeom {
 		capRows: rows / 9,
 		sinLo:   make([]float64, rows),
 		sinHi:   make([]float64, rows),
+		minCos:  make([]float64, rows),
 		cosB:    make([]float64, cols+1),
 		sinB:    make([]float64, cols+1),
 	}
@@ -100,6 +102,12 @@ func newGridGeom(n int) *gridGeom {
 		hi := (-90 + float64(r+1)*gm.latStep) * math.Pi / 180
 		gm.sinLo[r] = math.Sin(lo) + cellBoundMargin
 		gm.sinHi[r] = math.Sin(hi) - cellBoundMargin
+		// The band edges as the candidate query has always computed them
+		// (not lo/hi above, which round differently), so hoisting the two
+		// cosines here leaves every longitude window bit-identical.
+		bandLo := -90 + float64(r)*gm.latStep
+		bandHi := bandLo + gm.latStep
+		gm.minCos[r] = math.Min(math.Cos(bandLo*math.Pi/180), math.Cos(bandHi*math.Pi/180))
 	}
 	for c := 0; c <= cols; c++ {
 		a := (-180 + float64(c)*gm.lonStep) * math.Pi / 180
@@ -259,11 +267,8 @@ func (g *visGrid) forEachCandidate(latDeg, lonDeg, lamRad float64, yield func(in
 			g.yieldCell(r, 0, yield)
 			continue
 		}
-		bandLo := -90 + float64(r)*gm.latStep
-		bandHi := bandLo + gm.latStep
-		minCos := math.Min(math.Cos(bandLo*math.Pi/180), math.Cos(bandHi*math.Pi/180))
 		span := gm.cols // cells on each side of c0; cols means the full circle
-		if denom := cosG * minCos; denom > 1e-12 {
+		if denom := cosG * gm.minCos[r]; denom > 1e-12 {
 			if q := sinHalf / math.Sqrt(denom); q < 1 {
 				dLonDeg := 2 * math.Asin(q) * 180 / math.Pi
 				span = int(dLonDeg/gm.lonStep) + 1

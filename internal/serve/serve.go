@@ -25,8 +25,10 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -370,9 +372,8 @@ func (s *Server) handler() http.Handler {
 
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	lat, errLat := strconv.ParseFloat(q.Get("lat"), 64)
-	lon, errLon := strconv.ParseFloat(q.Get("lon"), 64)
-	if errLat != nil || errLon != nil {
+	client, ok := parseClient(q)
+	if !ok {
 		http.Error(w, "bad lat/lon", http.StatusBadRequest)
 		return
 	}
@@ -384,7 +385,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	sc := s.AcquireScratch()
 	defer s.ReleaseScratch(sc)
 	res, err := s.ResolveOnce(spacecdn.Request{
-		Client: geo.NewPoint(lat, lon),
+		Client: client,
 		ISO2:   q.Get("iso2"),
 		Obj:    obj,
 	}, sc)
@@ -395,6 +396,24 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	sc.buf = appendResponse(sc.buf[:0], res)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(sc.buf)
+}
+
+// parseClient reads the client location of a /resolve query. ParseFloat
+// accepts "NaN", "Inf" and any magnitude, so parsing alone lets through
+// coordinates that are no place on Earth: a non-finite value or a latitude
+// beyond a pole is a malformed request, not a point to clamp. Finite
+// longitudes of any size keep wrapping into (-180, 180].
+func parseClient(q url.Values) (geo.Point, bool) {
+	lat, errLat := strconv.ParseFloat(q.Get("lat"), 64)
+	lon, errLon := strconv.ParseFloat(q.Get("lon"), 64)
+	if errLat != nil || errLon != nil {
+		return geo.Point{}, false
+	}
+	// Written so that NaN fails the latitude test too.
+	if !(math.Abs(lat) <= 90) || math.IsNaN(lon) || math.IsInf(lon, 0) {
+		return geo.Point{}, false
+	}
+	return geo.NewPoint(lat, lon), true
 }
 
 // appendResponse encodes one response line into b. The encoder is shared

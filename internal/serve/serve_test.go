@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"spacecdn/internal/constellation"
+	"spacecdn/internal/geo"
 	"spacecdn/internal/groundseg"
 	"spacecdn/internal/lsn"
 	"spacecdn/internal/spacecdn"
@@ -178,6 +181,47 @@ func TestServeHTTP(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("clean shutdown: %v", err)
+	}
+}
+
+// TestResolveRejectsBadCoordinates closes the door strconv.ParseFloat leaves
+// open: it parses "NaN", "Inf" and any magnitude, and none of those is a
+// place a client can be. The handler validates coordinates before it looks
+// the object up, so a request for an unknown object tells the two apart: 400
+// for a malformed location, 404 once the location was accepted.
+func TestResolveRejectsBadCoordinates(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Seed: 5})
+	cases := []struct {
+		lat, lon string
+		want     int
+	}{
+		{"NaN", "10", http.StatusBadRequest},
+		{"10", "nan", http.StatusBadRequest},
+		{"Inf", "10", http.StatusBadRequest},
+		{"10", "+Inf", http.StatusBadRequest},
+		{"-Inf", "10", http.StatusBadRequest},
+		{"10", "-Inf", http.StatusBadRequest},
+		{"91", "10", http.StatusBadRequest},
+		{"-90.0001", "10", http.StatusBadRequest},
+		{"1e400", "10", http.StatusBadRequest}, // ParseFloat: out of range
+		{"", "10", http.StatusBadRequest},
+		{"10", "", http.StatusBadRequest},
+		{"90", "10", http.StatusNotFound},
+		{"-90", "10", http.StatusNotFound},
+		{"10", "-180", http.StatusNotFound},
+		{"10", "359", http.StatusNotFound},
+		{"10", "-725.5", http.StatusNotFound}, // finite longitudes wrap
+	}
+	for _, tc := range cases {
+		q := url.Values{"lat": {tc.lat}, "lon": {tc.lon}, "iso2": {"MZ"}, "obj": {"no-such-object"}}
+		rec := httptest.NewRecorder()
+		srv.handleResolve(rec, httptest.NewRequest(http.MethodGet, "/resolve?"+q.Encode(), nil))
+		if rec.Code != tc.want {
+			t.Errorf("lat=%q lon=%q: status %d, want %d", tc.lat, tc.lon, rec.Code, tc.want)
+		}
+	}
+	if pt, ok := parseClient(url.Values{"lat": {"-90"}, "lon": {"359"}}); !ok || pt != geo.NewPoint(-90, -1) {
+		t.Errorf("lat=-90 lon=359 parsed to %v, %v", pt, ok)
 	}
 }
 

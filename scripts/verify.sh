@@ -9,7 +9,9 @@
 #   vet    go vet
 #   build  go build
 #   test   go test
-#   race   go test -race
+#   race   go test -race, then the lock-free ground-point memo's tests again
+#          at -count=5 -cpu 1,2,4: a CAS-published table is exactly the code
+#          one -race pass at one GOMAXPROCS can miss
 #   benchmod  vet and test the repository benchmark (bench/), a nested module
 #          the root `go test ./...` never sees
 #   smoke  CLI run asserting the telemetry artifact parses with non-zero
@@ -91,6 +93,7 @@ stage_test() {
 
 stage_race() {
 	go test -race ./...
+	go test -race -count=5 -cpu 1,2,4 -run 'Visib|GroundMemo' ./internal/constellation
 }
 
 stage_benchmod() {
