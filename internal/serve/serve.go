@@ -24,6 +24,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -119,8 +120,11 @@ type Server struct {
 
 	served, errCount, staleCount atomic.Int64
 
+	// swapDurMs is a ring of the most recent swap durations; swapNext is the
+	// slot the next one overwrites once the ring is full.
 	mu        sync.Mutex
 	swapDurMs []float64
+	swapNext  int
 
 	ln          net.Listener
 	hsrv        *http.Server
@@ -204,6 +208,11 @@ func (s *Server) AcquireScratch() *Scratch { return s.scratch.Get().(*Scratch) }
 // ReleaseScratch returns a Scratch to the pool.
 func (s *Server) ReleaseScratch(sc *Scratch) { s.scratch.Put(sc) }
 
+// swapRing bounds the swap durations Stats summarizes: the daemon publishes
+// ten epochs a second for as long as it is up, so an unbounded record is a
+// leak. 1024 swaps keep the p99 ten samples clear of the maximum.
+const swapRing = 1024
+
 // advance builds and publishes the next epoch. Only New and the sweeper
 // goroutine call it, so seq increments are single-writer; the epoch store
 // happens before the seq store, which keeps the reader-side staleness test
@@ -219,7 +228,12 @@ func (s *Server) advance() {
 	s.swaps.Inc()
 	s.swapMs.Observe(ms)
 	s.mu.Lock()
-	s.swapDurMs = append(s.swapDurMs, ms)
+	if len(s.swapDurMs) < swapRing {
+		s.swapDurMs = append(s.swapDurMs, ms)
+	} else {
+		s.swapDurMs[s.swapNext] = ms
+		s.swapNext = (s.swapNext + 1) % swapRing
+	}
 	s.mu.Unlock()
 }
 
@@ -338,7 +352,8 @@ type Stats struct {
 	StaleServed int64
 	// Epochs is the published epoch count (the initial publication is #1).
 	Epochs uint64
-	// SwapP50Ms / SwapP99Ms summarize epoch build-and-publish latency.
+	// SwapP50Ms / SwapP99Ms summarize epoch build-and-publish latency over
+	// the most recent swaps (at most swapRing of them).
 	SwapP50Ms, SwapP99Ms float64
 }
 
@@ -390,7 +405,13 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		Obj:    obj,
 	}, sc)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		// No satellite over the client is our coverage; every other failure
+		// is the ground stage (or its absence) upstream of the satellite.
+		status := http.StatusBadGateway
+		if errors.Is(err, spacecdn.ErrNoVisibleSatellite) {
+			status = http.StatusServiceUnavailable
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	sc.buf = appendResponse(sc.buf[:0], res)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,10 +13,13 @@ import (
 	"time"
 
 	"spacecdn/internal/constellation"
+	"spacecdn/internal/content"
+	"spacecdn/internal/faults"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/groundseg"
 	"spacecdn/internal/lsn"
 	"spacecdn/internal/spacecdn"
+	"spacecdn/internal/stats"
 )
 
 var (
@@ -315,5 +319,90 @@ func TestServeSteadyAllocsFree(t *testing.T) {
 	})
 	if perReq := allocs / float64(len(steady)); perReq != 0 {
 		t.Errorf("steady-state allocations = %v/req, want 0", perReq)
+	}
+}
+
+// TestSwapDurationsBounded: the daemon publishes ten epochs a second for as
+// long as it is up, so the swap-latency record Stats summarizes is a ring,
+// not a log.
+func TestSwapDurationsBounded(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Seed: 9})
+	defer srv.Close()
+	for i := 0; i < 10*swapRing; i++ {
+		srv.advance()
+	}
+	if got := len(srv.swapDurMs); got != swapRing {
+		t.Fatalf("swap record holds %d durations after %d swaps, want the ring's %d", got, 10*swapRing+1, swapRing)
+	}
+	st := srv.Stats()
+	if st.Epochs != 10*swapRing+1 {
+		t.Fatalf("epochs = %d, want %d", st.Epochs, 10*swapRing+1)
+	}
+	if st.SwapP50Ms <= 0 || st.SwapP99Ms < st.SwapP50Ms {
+		t.Fatalf("swap quantiles p50=%v p99=%v, want positive and ordered", st.SwapP50Ms, st.SwapP99Ms)
+	}
+}
+
+// TestResolveErrorsTyped drives the three ways a resolution can fail through
+// Resolve and through GET /resolve: each surfaces as its own sentinel, and
+// the handler tells "we do not cover you" (503) from "the ground behind the
+// satellite failed" (502).
+func TestResolveErrorsTyped(t *testing.T) {
+	maputo := geo.NewPoint(-25.9692, 32.5732)
+	cold := content.Object{ID: "typed-cold", Bytes: 1 << 20}
+	var blackout []faults.Outage
+	for _, pop := range groundseg.NewCatalog().PoPs() {
+		blackout = append(blackout, faults.Outage{Kind: faults.KindPoP, PoP: pop.Name, Start: 0, End: time.Hour})
+	}
+	cases := []struct {
+		name   string
+		ground *lsn.Model
+		plan   *faults.Plan
+		client geo.Point
+		want   error
+		status int
+	}{
+		// Shell 1 is inclined 53°: nothing rises over a polar terminal.
+		{name: "polar client", ground: testLSN, client: geo.NewPoint(89, 0),
+			want: spacecdn.ErrNoVisibleSatellite, status: http.StatusServiceUnavailable},
+		{name: "no ground model", client: maputo,
+			want: spacecdn.ErrObjectNotInSpace, status: http.StatusBadGateway},
+		{name: "every PoP blacked out", ground: testLSN, plan: faults.NewPlanFromOutages(testConst.Total(), blackout), client: maputo,
+			want: spacecdn.ErrNoGroundPath, status: http.StatusBadGateway},
+	}
+	sentinels := []error{spacecdn.ErrNoVisibleSatellite, spacecdn.ErrObjectNotInSpace, spacecdn.ErrNoGroundPath}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := spacecdn.NewSystem(spacecdn.DefaultConfig(), testConst, tc.ground)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetFaultPlan(tc.plan)
+			_, err = sys.Resolve(tc.client, "MZ", cold, testConst.Snapshot(0), stats.NewRand(1))
+			for _, sentinel := range sentinels {
+				if got, want := errors.Is(err, sentinel), sentinel == tc.want; got != want {
+					t.Errorf("Resolve error %q: errors.Is(%q) = %v, want %v", err, sentinel, got, want)
+				}
+			}
+			if tc.plan != nil && !strings.Contains(err.Error(), "lsn:") {
+				t.Errorf("ground failure %q does not carry the lsn cause", err)
+			}
+
+			srv, err := New(sys, Config{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			srv.RegisterObjects(cold)
+			q := url.Values{"lat": {floatQ(tc.client.LatDeg)}, "lon": {floatQ(tc.client.LonDeg)}, "iso2": {"MZ"}, "obj": {string(cold.ID)}}
+			rec := httptest.NewRecorder()
+			srv.handleResolve(rec, httptest.NewRequest(http.MethodGet, "/resolve?"+q.Encode(), nil))
+			if rec.Code != tc.status {
+				t.Errorf("GET /resolve: status %d (%s), want %d", rec.Code, strings.TrimSpace(rec.Body.String()), tc.status)
+			}
+			if st := srv.Stats(); st.Errors != 1 || st.Requests != 0 {
+				t.Errorf("stats %+v, want the one failed request counted as an error", st)
+			}
+		})
 	}
 }

@@ -13,12 +13,13 @@ import (
 
 // TestEpochSwapStress hammers the epoch-publication protocol: N resolver
 // goroutines serve continuously while the sweeper advances sim time every
-// millisecond, a fault plan activates and repairs mid-run, and the
+// few milliseconds, a fault plan activates and repairs mid-run, and the
 // lifecycle applier fields cold-object misses. Run under -race this is the
 // torn-read detector for the whole serving core; the in-test assertions
 // add the semantic half — every response carries an (epoch, sim-time) pair
-// the sweeper actually published, and the telemetry counters balance
-// against what the workers observed.
+// the sweeper actually published, no response is an `isl` serve with 0 hops
+// or beyond the search bound, and the telemetry counters balance against
+// what the workers observed.
 func TestEpochSwapStress(t *testing.T) {
 	const (
 		step       = 15 * time.Second
@@ -36,7 +37,11 @@ func TestEpochSwapStress(t *testing.T) {
 		{Kind: faults.KindSatellite, Sat: 11, Start: faultFrom, End: faultUntil},
 	}))
 	sys.SetLifecycle(lifecycle.NewManager(lifecycle.DefaultPolicy(), testConst.Total()))
-	srv, err := New(sys, Config{Seed: 7, Step: step, Interval: time.Millisecond})
+	// The interval leaves the resolvers most of a single core even under the
+	// race detector, where one epoch build costs over a millisecond: a sweeper
+	// that never blocks would publish the whole outage window before any
+	// resolver ran on it.
+	srv, err := New(sys, Config{Seed: 7, Step: step, Interval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +52,7 @@ func TestEpochSwapStress(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
+	maxHops := sys.Config().MaxISLSearchHops
 
 	var (
 		idx      atomic.Uint64 // shared request-index counter
@@ -85,6 +91,13 @@ func TestEpochSwapStress(t *testing.T) {
 				// is asserted after shutdown via maxEpoch).
 				if res.Epoch == 0 || res.SimTime != time.Duration(res.Epoch-1)*step {
 					t.Errorf("torn epoch read: seq %d paired with t=%v", res.Epoch, res.SimTime)
+					return
+				}
+				// Stage properties, across healthy and degraded epochs with the
+				// applier's fills racing the probes: a serve with no ISL leg is
+				// an overhead serve, and the replica search honours its bound.
+				if r := res.Res; (r.Source == spacecdn.SourceISL && r.Hops == 0) || r.Hops > maxHops {
+					t.Errorf("epoch %d: %s serve from sat %d with %d hops (bound %d)", res.Epoch, r.Source, r.Sat, r.Hops, maxHops)
 					return
 				}
 				for {

@@ -4,6 +4,7 @@ import (
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
+	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/parallel"
 	"spacecdn/internal/stats"
 )
@@ -57,15 +58,17 @@ func (s *System) ResolveAll(reqs []Request, snap *constellation.Snapshot, rng *s
 	if len(reqs) == 0 {
 		return nil
 	}
-	// An active lifecycle manager switches to the two-phase batch form
-	// (read-only sharded resolve, then sequential intent application with
-	// request coalescing) — unless active faults claim the batch first, in
-	// which case the degraded pipeline runs per request as usual. Both paths
-	// are byte-identical across worker counts.
+	// The fault view and masked topology are pinned once for the batch. An
+	// active lifecycle manager makes the batch two-phase: the sharded resolve
+	// stays read-only over cache state — each request records what it WOULD
+	// do in its slot's intent — and phase 2 applies the intents sequentially
+	// in batch order, so coalescing winners, fills, drops and promotions are
+	// byte-identical across worker counts.
+	var ep Epoch
+	s.pin(&ep, 0, snap)
+	var intents []lcIntent
 	if s.lc != nil && s.lc.Active() {
-		if s.faults == nil || s.faults.ViewAt(snap.Time()).Empty() {
-			return s.resolveAllLifecycle(reqs, snap, rng, workers)
-		}
+		intents = make([]lcIntent, len(reqs))
 	}
 	out := make([]BatchResult, len(reqs))
 	spans := parallel.Split(len(reqs), batchShardTarget)
@@ -78,11 +81,20 @@ func (s *System) ResolveAll(reqs []Request, snap *constellation.Snapshot, rng *s
 	_ = parallel.Run(workers, len(spans), func(shard int) error {
 		r := rngs[shard]
 		for i := spans[shard].Lo; i < spans[shard].Hi; i++ {
-			req := reqs[i]
-			res, err := s.Resolve(req.Client, req.ISO2, req.Obj, snap, r)
+			var it *lcIntent
+			if intents != nil {
+				it = &intents[i]
+			}
+			res, err := s.resolveRecorded(&ep, &reqs[i], r, it)
 			out[i] = BatchResult{Resolution: res, Err: err}
 		}
 		return nil
 	})
+	if intents != nil {
+		flights := make(map[lifecycle.FlightKey]struct{})
+		for i := range intents {
+			s.applyLcIntent(&intents[i], snap.Time(), flights)
+		}
+	}
 	return out
 }

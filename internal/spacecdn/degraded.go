@@ -1,17 +1,6 @@
 package spacecdn
 
-import (
-	"fmt"
-
-	"spacecdn/internal/cache"
-	"spacecdn/internal/constellation"
-	"spacecdn/internal/content"
-	"spacecdn/internal/faults"
-	"spacecdn/internal/geo"
-	"spacecdn/internal/orbit"
-	"spacecdn/internal/routing"
-	"spacecdn/internal/stats"
-)
+import "fmt"
 
 // FailoverKind classifies degraded-mode reroutes, one per stage of the
 // resolve pipeline.
@@ -53,98 +42,4 @@ func FailoverKinds() []FailoverKind {
 		out[i] = FailoverKind(i)
 	}
 	return out
-}
-
-// resolveDegraded is the fault-aware resolve pipeline, entered only when the
-// attached fault plan has at least one active outage at the snapshot time.
-// It preserves the three-stage strategy of resolve but reroutes around dead
-// hardware, in failover order:
-//
-//  1. dead overhead satellite → the next surviving visible one (the masked
-//     view's BestVisible);
-//  2. dead replica holders and relays → excluded from the ISL search, which
-//     runs over the masked graph where dead satellites have no edges;
-//  3. dead PoP → the next-nearest live PoP (lsn.ResolvePathDegraded).
-//
-// A request errors only when no path — space or ground — survives the fault
-// state. Each failover advances its always-on counter and, when telemetry is
-// attached, its labelled counter and the degraded-source histogram.
-func (s *System) resolveDegraded(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, fv *faults.View, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	s.fstats.degraded.Add(1)
-	if d != nil {
-		d.degraded = true
-	}
-	view := snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks)
-
-	up, ok := snap.BestVisible(client)
-	if ok && fv.SatDead(up.ID) {
-		s.fstats.uplinkFO.Add(1)
-		if d != nil {
-			d.uplinkFailover = true
-		}
-		up, ok = view.BestVisible(client)
-	}
-	if !ok {
-		return Resolution{}, fmt.Errorf("spacecdn: no surviving satellite visible from %v", client)
-	}
-	t := snap.Time()
-	upDelay := orbit.PropagationDelay(up.SlantKm)
-	sched := s.schedDelay(rng)
-	if d != nil {
-		d.uplinkRTT = 2 * upDelay
-	}
-
-	// Stage 1: directly overhead. The serving satellite is alive by
-	// construction; duty cycling and cache contents gate as in health.
-	if s.Active(up.ID, t) && s.cacheGet(up.ID, obj.ID) {
-		return Resolution{Source: SourceOverhead, Sat: up.ID, RTT: 2*upDelay + sched}, nil
-	}
-
-	// Stage 2: nearest surviving replica over the masked ISL graph. Dead
-	// satellites have no edges there, so the search can neither pick a dead
-	// holder nor relay through a dead satellite; a replica set touching the
-	// dead mask records the replica failover.
-	g := view.ISLGraph()
-	members := s.replicas.bitset(cache.Key(obj.ID))
-	if members.IntersectsAny(fv.DeadSats) {
-		s.fstats.replicaFO.Add(1)
-		if d != nil {
-			d.replicaFailover = true
-		}
-	}
-	if hit, ok := g.NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
-		target := constellation.SatID(hit.Node)
-		if islRTT, hops, reachable := s.islRoundTrip(view, up.ID, target); reachable {
-			s.caches[int(target)].Get(cache.Key(obj.ID))
-			if d != nil {
-				d.islRTT = islRTT
-			}
-			return Resolution{
-				Source: SourceISL,
-				Sat:    target,
-				Hops:   hops,
-				RTT:    2*upDelay + islRTT + sched,
-			}, nil
-		}
-	}
-
-	// Stage 3: ground fallback with PoP failover.
-	if s.lsn == nil {
-		return Resolution{}, fmt.Errorf("spacecdn: no ground fallback configured and object %s not in space", obj.ID)
-	}
-	path, popFailover, err := s.lsn.ResolvePathDegraded(client, iso2, view, fv.PoPDead)
-	if err != nil {
-		return Resolution{}, fmt.Errorf("spacecdn: degraded ground fallback: %w", err)
-	}
-	if popFailover {
-		s.fstats.popFO.Add(1)
-		if d != nil {
-			d.popFailover = true
-		}
-	}
-	if d != nil {
-		d.ground = path
-		d.hasGround = true
-	}
-	return Resolution{Source: SourceGround, RTT: s.lsn.SampleRTTToPoP(path, rng)}, nil
 }

@@ -1,6 +1,7 @@
 package spacecdn
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"spacecdn/internal/faults"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/groundseg"
+	"spacecdn/internal/lsn"
+	"spacecdn/internal/parallel"
 	"spacecdn/internal/routing"
 	"spacecdn/internal/stats"
 	"spacecdn/internal/telemetry"
@@ -278,6 +281,10 @@ func TestResolvePartitionedConstellationNoErrors(t *testing.T) {
 				t.Fatalf("req %d (%s from %s): errored while a ground path exists: %v",
 					i, rq.obj.ID, rq.city.Name, err)
 			}
+			// The typed error keeps the lsn cause matchable.
+			if !errors.Is(err, ErrNoGroundPath) || !errors.Is(err, lsn.ErrNoVisibility) {
+				t.Fatalf("req %d: %v is not ErrNoGroundPath wrapping lsn.ErrNoVisibility", i, err)
+			}
 			continue
 		}
 		// With zero ISLs, nothing can be served over stage 2 more than 0
@@ -307,7 +314,7 @@ func TestResolveAllWorkerInvarianceUnderFaults(t *testing.T) {
 	if len(cities) > 20 {
 		cities = cities[:20]
 	}
-	run := func(workers int) []BatchResult {
+	fixture := func() (*System, []Request, *constellation.Snapshot) {
 		s := newSystem(t, DefaultConfig())
 		s.SetFaultPlan(plan)
 		snap := testConst.Snapshot(10 * time.Minute)
@@ -316,6 +323,10 @@ func TestResolveAllWorkerInvarianceUnderFaults(t *testing.T) {
 		for i, rq := range seeded {
 			reqs[i] = Request{Client: rq.city.Loc, ISO2: rq.city.Country, Obj: rq.obj}
 		}
+		return s, reqs, snap
+	}
+	run := func(workers int) []BatchResult {
+		s, reqs, snap := fixture()
 		return s.ResolveAll(reqs, snap, stats.NewRand(77), workers)
 	}
 	base := run(1)
@@ -330,6 +341,30 @@ func TestResolveAllWorkerInvarianceUnderFaults(t *testing.T) {
 					workers, i, got[i].Resolution, got[i].Err, base[i].Resolution, base[i].Err)
 			}
 		}
+	}
+
+	// A batch resolves against one fault view and one masked topology: it
+	// equals its shard streams issued by hand against a single epoch pinned up
+	// front — with the plan detached afterwards, so nothing but that epoch's
+	// view can have been consulted.
+	s, reqs, snap := fixture()
+	ep := s.NewEpoch(1, snap)
+	if !ep.Degraded() || ep.topo != ep.view || ep.view != snap.Masked(ep.fv.Epoch, ep.fv.DeadSats, ep.fv.DeadLinks) {
+		t.Fatalf("epoch at %v must pin the snapshot's shared masked view", snap.Time())
+	}
+	s.SetFaultPlan(nil)
+	spans := parallel.Split(len(reqs), batchShardTarget)
+	rngs := stats.NewRand(77).Split(len(spans))
+	for shard, span := range spans {
+		for i := span.Lo; i < span.Hi; i++ {
+			res, err := s.ResolveAt(ep, reqs[i].Client, reqs[i].ISO2, reqs[i].Obj, rngs[shard])
+			if (err == nil) != (base[i].Err == nil) || res != base[i].Resolution {
+				t.Fatalf("req %d: pinned-epoch resolve %+v (err %v) != batch %+v (err %v)", i, res, err, base[i].Resolution, base[i].Err)
+			}
+		}
+	}
+	if got := s.FaultStats().DegradedRequests; got != int64(len(reqs)) {
+		t.Fatalf("degraded requests = %d, want every one of %d", got, len(reqs))
 	}
 }
 

@@ -29,13 +29,35 @@ import (
 // origin-fetch coalescing stays deterministic under concurrent misses.
 
 // Epoch pins the time-varying inputs of one resolution instant: a finished
-// constellation snapshot and the fault view active at its time. Epochs are
+// constellation snapshot and, when the fault plan has active outages at its
+// time, the fault view and the masked topology it describes. Epochs are
 // immutable after construction and safe to share across any number of
 // request goroutines.
 type Epoch struct {
 	seq  uint64
 	snap *constellation.Snapshot
+	// topo is what resolutions price against: snap or, when at least one
+	// outage is active, view. fv and view are set together and only then.
+	topo topology
 	fv   *faults.View
+	view *constellation.MaskedView
+}
+
+// pin captures the epoch of a snapshot: the attached plan's fault view at
+// the snapshot time and the snapshot's (cached, shared) masked view for it.
+// It is the one place fault state becomes a topology — Resolve pins per
+// call, ResolveAll per batch, NewEpoch per published epoch, IssuePurge per
+// flood — and it runs before any rng draw, so with no plan or no active
+// outage every caller sees the healthy snapshot untouched.
+func (s *System) pin(ep *Epoch, seq uint64, snap *constellation.Snapshot) {
+	*ep = Epoch{seq: seq, snap: snap, topo: snap}
+	if s.faults != nil {
+		if fv := s.faults.ViewAt(snap.Time()); !fv.Empty() {
+			ep.fv = fv
+			ep.view = snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks)
+			ep.topo = ep.view
+		}
+	}
 }
 
 // NewEpoch builds a publishable epoch over a finished snapshot. It forces
@@ -46,10 +68,8 @@ type Epoch struct {
 // stale-but-valid epoch.
 func (s *System) NewEpoch(seq uint64, snap *constellation.Snapshot) *Epoch {
 	snap.ISLGraph()
-	ep := &Epoch{seq: seq, snap: snap}
-	if s.faults != nil {
-		ep.fv = s.faults.ViewAt(snap.Time())
-	}
+	ep := new(Epoch)
+	s.pin(ep, seq, snap)
 	return ep
 }
 
@@ -63,8 +83,8 @@ func (e *Epoch) Time() time.Duration { return e.snap.Time() }
 func (e *Epoch) Snapshot() *constellation.Snapshot { return e.snap }
 
 // Degraded reports whether the epoch pins an active-outage fault view, i.e.
-// resolutions against it run the fault-aware pipeline.
-func (e *Epoch) Degraded() bool { return e.fv != nil && !e.fv.Empty() }
+// resolutions against it price off the fault-masked topology.
+func (e *Epoch) Degraded() bool { return e.fv != nil }
 
 // ResolveAt serves one request against a pinned epoch. It is the
 // concurrency-safe counterpart of Resolve: where Resolve consults the fault
@@ -72,34 +92,15 @@ func (e *Epoch) Degraded() bool { return e.fv != nil && !e.fv.Empty() }
 // so every request on one epoch sees one consistent outage state even while
 // the plan's interval cache is warming under other epochs. The rng must be
 // goroutine-local (fork one stream per connection or per request); all other
-// inputs are shared and read-only.
+// inputs are shared and read-only. Lifecycle intents go to the applier when
+// one is started (StartLifecycleApplier) and apply inline otherwise.
 //
 // For equal snapshot, fault state, and rng state, ResolveAt returns the
 // byte-identical Resolution stream Resolve would — the epoch changes when
 // state is read, never what is computed.
 func (s *System) ResolveAt(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand) (Resolution, error) {
-	in := s.inst
-	if in == nil {
-		return s.resolveAtAny(ep, client, iso2, obj, rng, nil)
-	}
-	var d resolveDetail
-	d.client = client
-	res, err := s.resolveAtAny(ep, client, iso2, obj, rng, &d)
-	in.record(res, err, &d)
-	return res, err
-}
-
-// resolveAtAny routes an epoch-pinned request down the same three pipelines
-// as resolveAny, substituting the pinned fault view for a plan lookup and
-// the queued lifecycle form for the inline one.
-func (s *System) resolveAtAny(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	if ep.fv != nil && !ep.fv.Empty() {
-		return s.resolveDegraded(client, iso2, obj, ep.snap, ep.fv, rng, d)
-	}
-	if s.lc != nil && s.lc.Active() {
-		return s.resolveLifecycleQueued(client, iso2, obj, ep.snap, rng, d)
-	}
-	return s.resolve(client, iso2, obj, ep.snap, rng, d)
+	req := Request{Client: client, ISO2: iso2, Obj: obj}
+	return s.resolveApplied(ep, &req, rng, s.applier.Load())
 }
 
 // intentMsg carries one request's lifecycle intent to the applier.
@@ -159,23 +160,4 @@ func (s *System) StartLifecycleApplier(buf int) (stop func()) {
 		close(a.ch)
 		<-a.done
 	}
-}
-
-// resolveLifecycleQueued is the serve-path lifecycle form: the read-only
-// resolve fills a pooled intent, which is handed to the single-writer
-// applier (or applied inline, un-coalesced, when none is attached). The
-// response returns before the intent applies — a served stale copy is
-// reported immediately while its revalidating refill commits behind it,
-// which is exactly a CDN's stale-while-revalidate contract.
-func (s *System) resolveLifecycleQueued(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	it := intentPool.Get().(*lcIntent)
-	res, err := s.resolveLifecycleOne(client, iso2, obj, snap, rng, d, it)
-	if a := s.applier.Load(); a != nil {
-		a.ch <- intentMsg{it: it, t: snap.Time()}
-		return res, err
-	}
-	s.applyLcIntent(it, snap.Time(), nil)
-	*it = lcIntent{}
-	intentPool.Put(it)
-	return res, err
 }

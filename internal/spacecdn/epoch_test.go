@@ -49,6 +49,8 @@ func TestResolveAtMatchesResolve(t *testing.T) {
 		wire  func(s *System)
 		tAt   time.Duration
 		wantD bool
+		// wantLC: the row's requests must be lifecycle-classified.
+		wantLC bool
 	}{
 		{name: "healthy", wire: func(*System) {}, tAt: 0},
 		{name: "inert-lifecycle", wire: func(s *System) { s.SetLifecycle(inertManager()) }, tAt: 0},
@@ -62,6 +64,22 @@ func TestResolveAtMatchesResolve(t *testing.T) {
 			},
 			tAt:   time.Second,
 			wantD: true,
+		},
+		{
+			// Faults choose the topology, lifecycle the classifier: the
+			// inline intent sink of both entry points must agree over a
+			// masked view too.
+			name: "faults+lifecycle",
+			wire: func(s *System) {
+				s.SetFaultPlan(faults.NewPlanFromOutages(testConst.Total(), []faults.Outage{
+					{Kind: faults.KindSatellite, Sat: 3, Start: 0, End: time.Hour},
+					{Kind: faults.KindSatellite, Sat: 97, Start: 0, End: time.Hour},
+				}))
+				s.SetLifecycle(lifecycle.NewManager(lifecycle.DefaultPolicy(), testConst.Total()))
+			},
+			tAt:    time.Second,
+			wantD:  true,
+			wantLC: true,
 		},
 	}
 	for _, tc := range cases {
@@ -94,6 +112,12 @@ func TestResolveAtMatchesResolve(t *testing.T) {
 			}
 			if a.FaultStats() != b.FaultStats() {
 				t.Fatalf("fault counters diverged: %+v vs %+v", a.FaultStats(), b.FaultStats())
+			}
+			if a.LifecycleStats() != b.LifecycleStats() {
+				t.Fatalf("lifecycle counters diverged: %+v vs %+v", a.LifecycleStats(), b.LifecycleStats())
+			}
+			if ls := a.LifecycleStats(); (ls != LifecycleStats{}) != tc.wantLC {
+				t.Fatalf("lifecycle accounting ran = %v, want %v: %+v", !tc.wantLC, tc.wantLC, ls)
 			}
 		})
 	}

@@ -67,7 +67,7 @@ type resolveDetail struct {
 	ground    lsn.Path      // resolved ground path (ground source)
 	hasGround bool
 
-	// Degraded-mode flags (set only by resolveDegraded).
+	// Degraded-mode flags (set only on a degraded epoch, ep.fv != nil).
 	degraded        bool // the request ran the fault-aware pipeline
 	uplinkFailover  bool // overhead satellite was dead, re-homed
 	replicaFailover bool // replica set intersected the dead mask

@@ -10,9 +10,6 @@ import (
 	"spacecdn/internal/geo"
 	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/orbit"
-	"spacecdn/internal/parallel"
-	"spacecdn/internal/routing"
-	"spacecdn/internal/stats"
 )
 
 // Content-lifecycle serving: when a lifecycle.Manager is attached AND
@@ -137,23 +134,14 @@ func (s *System) IssuePurge(obj content.ID, origin geo.Point, snap *constellatio
 	if s.lc == nil {
 		return lifecycle.PurgeResult{}, fmt.Errorf("spacecdn: no lifecycle manager attached")
 	}
-	t := snap.Time()
-	up, ok := snap.BestVisible(origin)
-	var topo lifecycle.Topology = snap
-	if s.faults != nil {
-		if fv := s.faults.ViewAt(t); !fv.Empty() {
-			view := snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks)
-			if ok && fv.SatDead(up.ID) {
-				up, ok = view.BestVisible(origin)
-			}
-			topo = view
-		}
-	}
+	var ep Epoch
+	s.pin(&ep, 0, snap)
+	up, ok := ep.topo.BestVisible(origin)
 	if !ok {
 		return lifecycle.PurgeResult{}, fmt.Errorf("spacecdn: no satellite visible from purge origin %v", origin)
 	}
 	uplinkMs := float64(orbit.PropagationDelay(up.SlantKm)) / float64(time.Millisecond)
-	res, err := s.lc.IssuePurge(obj, topo, up.ID, t, s.cfg.PerHopProcMs, uplinkMs)
+	res, err := s.lc.IssuePurge(obj, ep.topo, up.ID, snap.Time(), s.cfg.PerHopProcMs, uplinkMs)
 	if err != nil {
 		return res, err
 	}
@@ -225,28 +213,25 @@ func (s *System) LifecycleStats() LifecycleStats {
 	return ls
 }
 
-// lcIntent records what one lifecycle-path request would do to shared
-// state. Phase 1 fills it without mutating anything; phase 2 applies it
-// sequentially in batch order. The inline (single-Resolve) path applies it
-// immediately with no coalescing.
+// lcIntent records what one lifecycle-classified request would do to shared
+// state. The resolve pipeline fills it without mutating anything; the
+// caller applies it — inline, through the applier, or in batch order.
 type lcIntent struct {
 	valid        bool // resolution succeeded; serve counters apply
 	obj          content.Object
 	class        ServeClass
 	inconsistent bool
 
-	hit     bool // counted Get + tier Touch on hitSat
-	hitSat  constellation.SatID
-	bulkHit bool
+	hit    bool // counted Get + tier Touch on hitSat
+	hitSat constellation.SatID
 
 	// Up to two expired entries can drop per request: the overhead
 	// satellite's and the ISL target's.
 	drops    [2]lcDrop
 	numDrops int
 
-	needOrigin bool // origin contact required; subject to coalescing
-	fill       bool // the flight winner fills/refreshes fillSat
-	fillSat    constellation.SatID
+	needOrigin bool                // origin contact required; subject to coalescing
+	fillSat    constellation.SatID // the flight winner fills/refreshes it
 	flight     lifecycle.FlightKey
 }
 
@@ -262,158 +247,29 @@ func (it *lcIntent) addDrop(sat constellation.SatID, reason cache.EvictionReason
 	}
 }
 
-// expiredReason attributes an Expired verdict: purge-superseded entries
-// drop as EvictPurged, TTL runouts as EvictTTLExpired.
-func (s *System) expiredReason(sat constellation.SatID, entry cache.Item, obj content.ID, t time.Duration) cache.EvictionReason {
-	if s.lc.Superseded(int(sat), entry, obj, t) {
-		return cache.EvictPurged
-	}
-	return cache.EvictTTLExpired
-}
-
 // tierRead returns the extra read latency for a hit on the satellite's
-// store, and whether it came from the bulk tier. Zero for non-tiered
-// stores.
-func (s *System) tierRead(id constellation.SatID, key cache.Key) (time.Duration, bool) {
-	if s.tierCfg == nil {
-		return 0, false
-	}
+// store. Zero for non-tiered stores.
+func (s *System) tierRead(id constellation.SatID, key cache.Key) time.Duration {
 	tc, ok := s.caches[int(id)].(*cache.Tiered)
 	if !ok {
-		return 0, false
+		return 0
 	}
 	tier, ok := tc.PeekTier(key)
 	if !ok {
-		return 0, false
+		return 0
 	}
 	if tier == cache.TierBulk {
-		return tierBulkRead, true
+		return tierBulkRead
 	}
-	return tierHotRead, false
+	return tierHotRead
 }
 
-// resolveLifecycleInline is the single-request lifecycle path: resolve,
-// then apply the intent immediately (every origin need is its own flight —
-// coalescing only exists across a batch).
-func (s *System) resolveLifecycleInline(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	var it lcIntent
-	res, err := s.resolveLifecycleOne(client, iso2, obj, snap, rng, d, &it)
-	s.applyLcIntent(&it, snap.Time(), nil)
-	return res, err
-}
-
-// resolveLifecycleOne mirrors resolve's three stages with freshness
-// classification at each hit point. It is read-only over cache state: all
-// mutations (hit accounting, promotions, drops, fills) land in the intent.
-func (s *System) resolveLifecycleOne(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail, it *lcIntent) (Resolution, error) {
-	it.obj = obj
-	up, ok := snap.BestVisible(client)
-	if !ok {
-		return Resolution{}, fmt.Errorf("spacecdn: no satellite visible from %v", client)
-	}
-	t := snap.Time()
-	upDelay := orbit.PropagationDelay(up.SlantKm)
-	sched := s.schedDelay(rng)
-	if d != nil {
-		d.uplinkRTT = 2 * upDelay
-	}
-	key := cache.Key(obj.ID)
-	hadExpired := false
-
-	// Stage 1: directly overhead, classified.
-	if s.Active(up.ID, t) {
-		if entry, ok := s.caches[int(up.ID)].Entry(key); ok {
-			f, inconsistent := s.lc.Classify(int(up.ID), entry, obj.ID, t)
-			if f == lifecycle.Expired {
-				it.addDrop(up.ID, s.expiredReason(up.ID, entry, obj.ID, t))
-				hadExpired = true
-			} else {
-				tierLat, bulk := s.tierRead(up.ID, key)
-				it.valid = true
-				it.hit, it.hitSat, it.bulkHit = true, up.ID, bulk
-				it.inconsistent = inconsistent
-				if f == lifecycle.Fresh {
-					it.class = ServeFresh
-				} else {
-					// Stale-while-revalidate: serve the cached copy now,
-					// refresh off-path (a coalescable origin contact).
-					it.class = ServeStale
-					it.needOrigin = true
-					it.fill, it.fillSat = true, up.ID
-					it.flight = lifecycle.FlightKey{Object: obj.ID, Version: s.lc.LatestVersion(obj.ID), Cell: lifecycle.Cell(client)}
-				}
-				return Resolution{
-					Source: SourceOverhead,
-					Sat:    up.ID,
-					RTT:    2*upDelay + sched + tierLat,
-				}, nil
-			}
-		}
-	}
-
-	// Stage 2: nearest replica over ISLs, classified at the target.
-	g := snap.ISLGraph()
-	members := s.replicas.bitset(key)
-	if hit, ok := g.NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
-		target := constellation.SatID(hit.Node)
-		if entry, ok2 := s.caches[int(target)].Entry(key); ok2 {
-			f, inconsistent := s.lc.Classify(int(target), entry, obj.ID, t)
-			if f == lifecycle.Expired {
-				it.addDrop(target, s.expiredReason(target, entry, obj.ID, t))
-				hadExpired = true
-			} else if islRTT, hops, reachable := s.islRoundTrip(snap, up.ID, target); reachable {
-				tierLat, bulk := s.tierRead(target, key)
-				it.valid = true
-				it.hit, it.hitSat, it.bulkHit = true, target, bulk
-				it.inconsistent = inconsistent
-				if f == lifecycle.Fresh {
-					it.class = ServeFresh
-				} else {
-					it.class = ServeStale
-					it.needOrigin = true
-					it.fill, it.fillSat = true, target
-					it.flight = lifecycle.FlightKey{Object: obj.ID, Version: s.lc.LatestVersion(obj.ID), Cell: lifecycle.Cell(client)}
-				}
-				if d != nil {
-					d.islRTT = islRTT
-				}
-				return Resolution{
-					Source: SourceISL,
-					Sat:    target,
-					Hops:   hops,
-					RTT:    2*upDelay + islRTT + sched + tierLat,
-				}, nil
-			}
-		}
-	}
-
-	// Stage 3: origin fetch through the ground path. The overhead satellite
-	// pulls the object through into its cache (stamped with the current
-	// version), so the next request in the cell is a space hit.
-	if s.lsn == nil {
-		return Resolution{}, fmt.Errorf("spacecdn: no ground fallback configured and object %s not in space", obj.ID)
-	}
-	path, err := s.lsn.ResolvePath(client, iso2, snap)
-	if err != nil {
-		return Resolution{}, fmt.Errorf("spacecdn: ground fallback: %w", err)
-	}
-	if d != nil {
-		d.ground = path
-		d.hasGround = true
-	}
-	it.valid = true
-	if hadExpired {
-		it.class = ServeExpired
-	} else {
-		it.class = ServeMiss
-	}
+// originContact marks the intent as needing origin: one flight per {object
+// version, ground cell}, whose winner fills or refreshes fillSat.
+func (s *System) originContact(it *lcIntent, fillSat constellation.SatID, client geo.Point) {
 	it.needOrigin = true
-	it.fill, it.fillSat = true, up.ID
-	it.flight = lifecycle.FlightKey{Object: obj.ID, Version: s.lc.LatestVersion(obj.ID), Cell: lifecycle.Cell(client)}
-	return Resolution{
-		Source: SourceGround,
-		RTT:    s.lsn.SampleRTTToPoP(path, rng),
-	}, nil
+	it.fillSat = fillSat
+	it.flight = lifecycle.FlightKey{Object: it.obj.ID, Version: s.lc.LatestVersion(it.obj.ID), Cell: lifecycle.Cell(client)}
 }
 
 // applyLcIntent commits one request's intent. flights de-duplicates origin
@@ -430,12 +286,10 @@ func (s *System) applyLcIntent(it *lcIntent, t time.Duration, flights map[lifecy
 	if it.hit {
 		key := cache.Key(it.obj.ID)
 		s.caches[int(it.hitSat)].Get(key)
-		if s.tierCfg != nil {
-			if tc, ok := s.caches[int(it.hitSat)].(*cache.Tiered); ok {
-				// Promotion on re-reference: a bulk hit moves the entry to
-				// the hot tier (sequenced here, so tiers are deterministic).
-				tc.Touch(key)
-			}
+		if tc, ok := s.caches[int(it.hitSat)].(*cache.Tiered); ok {
+			// Promotion on re-reference: a bulk hit moves the entry to
+			// the hot tier (sequenced here, so tiers are deterministic).
+			tc.Touch(key)
 		}
 	}
 	if it.valid {
@@ -454,65 +308,16 @@ func (s *System) applyLcIntent(it *lcIntent, t time.Duration, flights map[lifecy
 		return
 	}
 	s.lcstats.originNeeded.Add(1)
-	first := true
 	if flights != nil {
 		if _, dup := flights[it.flight]; dup {
-			first = false
-		} else {
-			flights[it.flight] = struct{}{}
+			s.lcstats.coalesced.Add(1)
+			if in != nil {
+				in.lcCoalesced.Inc()
+			}
+			return
 		}
-	}
-	if !first {
-		s.lcstats.coalesced.Add(1)
-		if in != nil {
-			in.lcCoalesced.Inc()
-		}
-		return
+		flights[it.flight] = struct{}{}
 	}
 	s.lcstats.originFetches.Add(1)
-	if it.fill {
-		item := cache.Item{
-			Key:  cache.Key(it.obj.ID),
-			Size: it.obj.Bytes,
-			Tag:  it.obj.Region.String(),
-		}
-		s.lc.Stamp(&item, it.obj.Class, it.obj.ID, t)
-		s.caches[int(it.fillSat)].Put(item)
-	}
-}
-
-// resolveAllLifecycle is the two-phase batch form: a fixed-shard parallel
-// read-only resolve (phase 1), then sequential intent application in batch
-// order (phase 2) where coalescing winners are selected and fills, drops,
-// hit accounting, and tier promotions commit deterministically.
-func (s *System) resolveAllLifecycle(reqs []Request, snap *constellation.Snapshot, rng *stats.Rand, workers int) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	intents := make([]lcIntent, len(reqs))
-	spans := parallel.Split(len(reqs), batchShardTarget)
-	rngs := rng.Split(len(spans))
-	snap.ISLGraph()
-	_ = parallel.Run(workers, len(spans), func(shard int) error {
-		r := rngs[shard]
-		for i := spans[shard].Lo; i < spans[shard].Hi; i++ {
-			req := reqs[i]
-			var res Resolution
-			var err error
-			if in := s.inst; in != nil {
-				var d resolveDetail
-				d.client = req.Client
-				res, err = s.resolveLifecycleOne(req.Client, req.ISO2, req.Obj, snap, r, &d, &intents[i])
-				in.record(res, err, &d)
-			} else {
-				res, err = s.resolveLifecycleOne(req.Client, req.ISO2, req.Obj, snap, r, nil, &intents[i])
-			}
-			out[i] = BatchResult{Resolution: res, Err: err}
-		}
-		return nil
-	})
-	flights := make(map[lifecycle.FlightKey]struct{})
-	t := snap.Time()
-	for i := range intents {
-		s.applyLcIntent(&intents[i], t, flights)
-	}
-	return out
+	s.StoreVersioned(it.fillSat, it.obj, t)
 }

@@ -8,6 +8,7 @@ import (
 	"spacecdn/internal/cache"
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/content"
+	"spacecdn/internal/faults"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/stats"
@@ -93,10 +94,13 @@ func TestResolveInertLifecycleMatchesReference(t *testing.T) {
 
 // lifecycleFixture builds an active-lifecycle system over a tiered store
 // with a seeded class-mixed placement, plus a request batch that exercises
-// fresh hits, stale revalidation, purge expiry, misses, and coalescing.
-func lifecycleFixture(t *testing.T) (*System, []Request, *constellation.Snapshot) {
+// fresh hits, stale revalidation, purge expiry, misses, and coalescing. A
+// non-nil plan is attached before placement, so the purge floods and the
+// batch resolves over its masked topology.
+func lifecycleFixture(t *testing.T, plan *faults.Plan) (*System, []Request, *constellation.Snapshot) {
 	t.Helper()
 	s := newSystem(t, DefaultConfig())
+	s.SetFaultPlan(plan)
 	if err := s.UseTieredStore(TierSizing{HotBytes: 4 << 20, BulkBytes: 16 << 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -146,16 +150,40 @@ func lifecycleFixture(t *testing.T) (*System, []Request, *constellation.Snapshot
 // (fills, drops, tier placement) must be byte-identical across worker
 // counts, including coalescing winner selection.
 func TestResolveAllLifecycleWorkerInvariance(t *testing.T) {
+	// The faults+lifecycle row kills a warm-object holder (replica failover)
+	// and the overhead satellite of the second city (uplink failover, with the
+	// pull-through fill landing on the survivor).
+	var outages []faults.Outage
+	if up, ok := testConst.Snapshot(time.Second).BestVisible(geo.Cities()[1].Loc); ok {
+		outages = append(outages, satOutage(up.ID))
+	}
+	outages = append(outages, satOutage(11))
+	cases := []struct {
+		name string
+		plan *faults.Plan
+	}{
+		{name: "lifecycle"},
+		{name: "faults+lifecycle", plan: faults.NewPlanFromOutages(testConst.Total(), outages)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			testResolveAllLifecycleWorkerInvariance(t, tc.plan)
+		})
+	}
+}
+
+func testResolveAllLifecycleWorkerInvariance(t *testing.T, plan *faults.Plan) {
 	type outcome struct {
 		results []BatchResult
 		stats   LifecycleStats
+		faults  FaultStats
 		lens    []int
 		bytes   []int64
 	}
 	run := func(workers int) outcome {
-		s, reqs, snap := lifecycleFixture(t)
+		s, reqs, snap := lifecycleFixture(t, plan)
 		res := s.ResolveAll(reqs, snap, stats.NewRand(77), workers)
-		o := outcome{results: res, stats: s.LifecycleStats()}
+		o := outcome{results: res, stats: s.LifecycleStats(), faults: s.FaultStats()}
 		for id := 0; id < testConst.Total(); id++ {
 			c := s.CacheOf(constellation.SatID(id))
 			if err := cache.CheckConsistency(c); err != nil {
@@ -173,6 +201,17 @@ func TestResolveAllLifecycleWorkerInvariance(t *testing.T) {
 	if base.stats.ExpiredServes == 0 {
 		t.Fatal("fixture produced no purge-expired serves")
 	}
+	if plan != nil {
+		// Faults choose the topology, lifecycle the classifier: the degraded
+		// batch is still fully lifecycle-accounted.
+		n := int64(len(base.results))
+		if base.faults.DegradedRequests != n || base.faults.UplinkFailovers == 0 || base.faults.ReplicaFailovers == 0 {
+			t.Fatalf("fault stats %+v: want %d degraded requests with uplink and replica failovers", base.faults, n)
+		}
+		if served := base.stats.FreshServes + base.stats.StaleServes + base.stats.ExpiredServes + base.stats.MissServes; served != n {
+			t.Fatalf("lifecycle classified %d of %d degraded requests", served, n)
+		}
+	}
 	for _, workers := range []int{2, 8} {
 		got := run(workers)
 		for i := range base.results {
@@ -182,6 +221,9 @@ func TestResolveAllLifecycleWorkerInvariance(t *testing.T) {
 		}
 		if got.stats != base.stats {
 			t.Fatalf("workers=%d lifecycle stats diverged:\n got %+v\nwant %+v", workers, got.stats, base.stats)
+		}
+		if got.faults != base.faults {
+			t.Fatalf("workers=%d fault stats diverged: %+v vs %+v", workers, got.faults, base.faults)
 		}
 		for id := range base.lens {
 			if got.lens[id] != base.lens[id] || got.bytes[id] != base.bytes[id] {
@@ -374,6 +416,53 @@ func TestLifecyclePurgeThroughSystem(t *testing.T) {
 	}
 	if r3.Source == SourceGround {
 		t.Fatal("post-refill request fell through to ground; new version not cached")
+	}
+}
+
+// TestPurgeHonouredDuringOutage: an active outage elsewhere in the shell must
+// not switch the lifecycle off. The purged copy on the client's overhead
+// satellite is recognized after its receipt, dropped as purged and refetched
+// — not served as if no purge had been issued.
+func TestPurgeHonouredDuringOutage(t *testing.T) {
+	s := newSystem(t, DefaultConfig())
+	s.SetLifecycle(inertManager())
+	snap0 := testConst.Snapshot(0)
+	snap2 := testConst.Snapshot(2 * time.Second)
+	maputo := geo.NewPoint(-25.9692, 32.5732)
+	up, ok := snap2.BestVisible(maputo)
+	if !ok {
+		t.Fatal("no visibility")
+	}
+	far := constellation.SatID((int(up.ID) + testConst.Total()/2) % testConst.Total())
+	s.SetFaultPlan(faults.NewPlanFromOutages(testConst.Total(), []faults.Outage{satOutage(far)}))
+	obj := classedObject("purge-in-outage", content.ClassStatic)
+	s.StoreVersioned(up.ID, obj, 0)
+	res, err := s.IssuePurge(obj.ID, maputo, snap0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Receipts[up.ID] < 0 || res.Receipts[up.ID] >= snap2.Time() {
+		t.Fatalf("overhead satellite's receipt %v is not before the resolve at %v", res.Receipts[up.ID], snap2.Time())
+	}
+	if res.Receipts[far] != lifecycle.NeverReceived {
+		t.Fatalf("dead satellite %d received the purge at %v", far, res.Receipts[far])
+	}
+
+	r, err := s.Resolve(maputo, "MZ", obj, snap2, stats.NewRand(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Source != SourceGround {
+		t.Fatalf("purged copy served from %v during the outage, want ground refetch", r.Source)
+	}
+	if fs := s.FaultStats(); fs.DegradedRequests != 1 {
+		t.Fatalf("degraded requests = %d, want 1", fs.DegradedRequests)
+	}
+	if ls := s.LifecycleStats(); ls.ExpiredServes != 1 || ls.OriginFetches != 1 {
+		t.Fatalf("expired serves / origin fetches = %d/%d, want 1/1", ls.ExpiredServes, ls.OriginFetches)
+	}
+	if got := s.CacheOf(up.ID).Stats().EvictionsFor(cache.EvictPurged); got != 1 {
+		t.Fatalf("purged evictions at sat %d = %d, want 1", up.ID, got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package spacecdn
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,6 +9,8 @@ import (
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
+	"spacecdn/internal/lifecycle"
+	"spacecdn/internal/lsn"
 	"spacecdn/internal/orbit"
 	"spacecdn/internal/routing"
 	"spacecdn/internal/stats"
@@ -71,52 +74,121 @@ type Resolution struct {
 	RTT time.Duration
 }
 
+// Typed resolve failures, one per stage that can end a request; match them
+// with errors.Is.
+var (
+	// ErrNoVisibleSatellite: no (surviving) satellite is above the client's
+	// elevation mask — the client is outside the shell's coverage.
+	ErrNoVisibleSatellite = errors.New("spacecdn: no satellite visible")
+	// ErrObjectNotInSpace: no servable replica within the hop bound, and the
+	// system was deployed without a ground model to fall back to.
+	ErrObjectNotInSpace = errors.New("spacecdn: object not in space and no ground fallback configured")
+	// ErrNoGroundPath: the ground stage found no path to any PoP. It wraps
+	// the lsn error, so errors.Is(err, lsn.ErrNoVisibility) still matches.
+	ErrNoGroundPath = errors.New("spacecdn: no ground path")
+)
+
 // Resolve serves one object request from a client at time snap.Time(),
 // following the three-stage strategy. The rng supplies access-link
 // scheduling jitter; pass a deterministic source for reproducible runs.
+// The attached fault plan is consulted at call time, and lifecycle effects
+// apply before Resolve returns.
 //
 // When telemetry is attached (SetTelemetry), each call increments the
 // per-source request counters, observes the RTT and hop-count histograms,
 // and — for sampled requests — emits a RequestTrace whose span durations
 // decompose the returned RTT exactly.
 func (s *System) Resolve(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand) (Resolution, error) {
+	var ep Epoch
+	s.pin(&ep, 0, snap)
+	req := Request{Client: client, ISO2: iso2, Obj: obj}
+	return s.resolveApplied(&ep, &req, rng, nil)
+}
+
+// resolveApplied runs one request and sinks its lifecycle intent. Without an
+// active manager (one atomic load, before any rng draw) there is no intent.
+// Otherwise the intent is queued to the single-writer applier a, when the
+// caller passes one — the response returns before the intent applies, a CDN's
+// stale-while-revalidate contract — or applies inline, un-coalesced.
+func (s *System) resolveApplied(ep *Epoch, req *Request, rng *stats.Rand, a *lcApplier) (Resolution, error) {
+	if s.lc == nil || !s.lc.Active() {
+		return s.resolveRecorded(ep, req, rng, nil)
+	}
+	if a != nil {
+		it := intentPool.Get().(*lcIntent)
+		res, err := s.resolveRecorded(ep, req, rng, it)
+		a.ch <- intentMsg{it: it, t: ep.Time()}
+		return res, err
+	}
+	var it lcIntent
+	res, err := s.resolveRecorded(ep, req, rng, &it)
+	s.applyLcIntent(&it, ep.Time(), nil)
+	return res, err
+}
+
+// resolveRecorded runs the pipeline and, when telemetry is attached, records
+// the outcome. The detail lives on this frame and is filled by assignment
+// only, so the detached path stays allocation-free.
+func (s *System) resolveRecorded(ep *Epoch, req *Request, rng *stats.Rand, it *lcIntent) (Resolution, error) {
 	in := s.inst
 	if in == nil {
-		return s.resolveAny(client, iso2, obj, snap, rng, nil)
+		return s.resolveStaged(ep, req, rng, nil, it)
 	}
 	var d resolveDetail
-	d.client = client
-	res, err := s.resolveAny(client, iso2, obj, snap, rng, &d)
+	d.client = req.Client
+	res, err := s.resolveStaged(ep, req, rng, &d, it)
 	in.record(res, err, &d)
 	return res, err
 }
 
-// resolveAny routes a request down the healthy pipeline or, when the
-// attached fault plan has active outages at the snapshot time, the degraded
-// one; with an active lifecycle manager (and no active faults) it runs the
-// freshness-classifying lifecycle pipeline. Both checks happen before any
-// rng draw, so with no plan and an absent-or-inert manager the healthy path
-// runs untouched and its output stays byte-identical to a bare system.
-func (s *System) resolveAny(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	if s.faults != nil {
-		if fv := s.faults.ViewAt(snap.Time()); !fv.Empty() {
-			return s.resolveDegraded(client, iso2, obj, snap, fv, rng, d)
-		}
-	}
-	if s.lc != nil && s.lc.Active() {
-		return s.resolveLifecycleInline(client, iso2, obj, snap, rng, d)
-	}
-	return s.resolve(client, iso2, obj, snap, rng, d)
+// topology is what a resolution prices against: the healthy snapshot, or the
+// fault-masked view of one, where dead satellites are invisible and have no
+// edges. Both are pointer receivers, so the interface costs no allocation.
+type topology interface {
+	BestVisible(geo.Point) (constellation.VisibleSat, bool)
+	ISLGraph() *routing.Graph
+	PathTree(constellation.SatID) *routing.SPTree
 }
 
-// resolve is the uninstrumented resolution path. When d is non-nil it is
-// filled with the latency components telemetry needs to decompose the RTT
-// into spans; the components are assigned, never allocated, so the disabled
-// path stays allocation-free.
-func (s *System) resolve(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
+// resolveStaged is the resolve pipeline — the paper's Figure 6, stated once:
+// overhead satellite, nearest replica over ISLs, ground via the PoP. Faults
+// choose the topology, lifecycle chooses the classifier, independently:
+//
+//   - a degraded epoch (ep.fv != nil) prices against its masked view and
+//     reroutes in failover order — dead overhead satellite → the next
+//     surviving visible one, dead holders and relays → absent from the masked
+//     graph, dead PoP → the next-nearest live one — counting each failover. A
+//     request errors only when no path, space or ground, survives.
+//   - with it == nil every cached copy serves and hits are counted on the
+//     caches directly; with an intent each hit point classifies the copy and
+//     the pipeline is read-only over cache state: hit accounting, drops,
+//     promotions and fills land in the intent for the caller to apply.
+//
+// Invariant: the rng is drawn in the order schedDelay → SampleRTTToPoP, with
+// no draw in between, whatever the parameters. When d is non-nil it receives
+// the latency components telemetry decomposes the RTT into.
+func (s *System) resolveStaged(ep *Epoch, req *Request, rng *stats.Rand, d *resolveDetail, it *lcIntent) (Resolution, error) {
+	snap, fv, topo := ep.snap, ep.fv, ep.topo
+	client := req.Client
+	if it != nil {
+		it.obj = req.Obj
+	}
 	up, ok := snap.BestVisible(client)
+	if fv != nil {
+		s.fstats.degraded.Add(1)
+		if d != nil {
+			d.degraded = true
+		}
+		if ok && fv.SatDead(up.ID) {
+			s.fstats.uplinkFO.Add(1)
+			if d != nil {
+				d.uplinkFailover = true
+			}
+			up, ok = topo.BestVisible(client)
+		}
+	}
 	if !ok {
-		return Resolution{}, fmt.Errorf("spacecdn: no satellite visible from %v", client)
+		return Resolution{}, fmt.Errorf("%w from %v", ErrNoVisibleSatellite, client)
 	}
 	t := snap.Time()
 	upDelay := orbit.PropagationDelay(up.SlantKm)
@@ -125,56 +197,141 @@ func (s *System) resolve(client geo.Point, iso2 string, obj content.Object, snap
 		d.uplinkRTT = 2 * upDelay
 	}
 
-	// Stage 1: directly overhead.
-	if s.Active(up.ID, t) && s.cacheGet(up.ID, obj.ID) {
-		return Resolution{
-			Source: SourceOverhead,
-			Sat:    up.ID,
-			RTT:    2*upDelay + sched,
-		}, nil
+	// Stage 1: directly overhead. The uplink satellite is alive by
+	// construction; duty cycling and cache contents gate as in health.
+	if s.Active(up.ID, t) {
+		if tierLat, ok := s.serveFrom(up.ID, req, t, it); ok {
+			return Resolution{
+				Source: SourceOverhead,
+				Sat:    up.ID,
+				RTT:    2*upDelay + sched + tierLat,
+			}, nil
+		}
 	}
 
 	// Stage 2: nearest caching satellite over ISLs within the hop bound. The
 	// replica index supplies the membership bitset (nil for cold objects,
 	// skipping the BFS entirely) and the duty cycler the active bitset, so
-	// the search probes words instead of calling Peek per visited node.
-	g := snap.ISLGraph()
-	members := s.replicas.bitset(cache.Key(obj.ID))
-	if hit, ok := g.NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
-		target := constellation.SatID(hit.Node)
-		if islRTT, hops, reachable := s.islRoundTrip(snap, up.ID, target); reachable {
-			// Count the hit on the serving satellite's cache.
-			s.caches[int(target)].Get(cache.Key(obj.ID))
-			if d != nil {
-				d.islRTT = islRTT
-			}
-			return Resolution{
-				Source: SourceISL,
-				Sat:    target,
-				Hops:   hops,
-				RTT:    2*upDelay + islRTT + sched,
-			}, nil
+	// the search probes words instead of calling Peek per visited node. On a
+	// masked graph the search can neither pick a dead holder nor relay
+	// through a dead satellite; a replica set touching the dead mask records
+	// the replica failover.
+	members := s.replicas.bitset(cache.Key(req.Obj.ID))
+	if fv != nil && members.IntersectsAny(fv.DeadSats) {
+		s.fstats.replicaFO.Add(1)
+		if d != nil {
+			d.replicaFailover = true
 		}
-		// The replica is unreachable over ISLs (partitioned topology): fall
+	}
+	if hit, ok := topo.ISLGraph().NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
+		target := constellation.SatID(hit.Node)
+		// A replica unreachable over ISLs (partitioned topology) falls
 		// through to the ground stage instead of pricing the fetch as free.
+		if islRTT, hops, reachable := s.islRoundTrip(topo, up.ID, target); reachable {
+			if tierLat, ok := s.serveFrom(target, req, t, it); ok {
+				if d != nil {
+					d.islRTT = islRTT
+				}
+				res := Resolution{
+					Source: SourceISL,
+					Sat:    target,
+					Hops:   hops,
+					RTT:    2*upDelay + islRTT + sched + tierLat,
+				}
+				if target == up.ID {
+					// A fill landed on the uplink satellite between the
+					// stage-1 probe and this search: no ISL leg was priced,
+					// so this is an overhead serve.
+					res.Source = SourceOverhead
+				}
+				return res, nil
+			}
+		}
 	}
 
-	// Stage 3: ground fallback through the operator's PoP.
+	// Stage 3: ground fallback through the operator's PoP, failing over
+	// blacked-out PoPs under faults. With an intent this is an origin fetch:
+	// the uplink satellite pulls the object through into its cache (stamped
+	// with the current version), so the next request in the cell is a space
+	// hit.
 	if s.lsn == nil {
-		return Resolution{}, fmt.Errorf("spacecdn: no ground fallback configured and object %s not in space", obj.ID)
+		return Resolution{}, fmt.Errorf("%w: %s", ErrObjectNotInSpace, req.Obj.ID)
 	}
-	path, err := s.lsn.ResolvePath(client, iso2, snap)
+	var (
+		path        lsn.Path
+		popFailover bool
+		err         error
+	)
+	if fv != nil {
+		path, popFailover, err = s.lsn.ResolvePathDegraded(client, req.ISO2, ep.view, fv.PoPDead)
+	} else {
+		path, err = s.lsn.ResolvePath(client, req.ISO2, snap)
+	}
 	if err != nil {
-		return Resolution{}, fmt.Errorf("spacecdn: ground fallback: %w", err)
+		return Resolution{}, fmt.Errorf("%w: %w", ErrNoGroundPath, err)
+	}
+	if popFailover {
+		s.fstats.popFO.Add(1)
+		if d != nil {
+			d.popFailover = true
+		}
 	}
 	if d != nil {
 		d.ground = path
 		d.hasGround = true
 	}
+	if it != nil {
+		it.valid = true
+		it.class = ServeMiss
+		if it.numDrops > 0 {
+			it.class = ServeExpired
+		}
+		s.originContact(it, up.ID, client)
+	}
 	return Resolution{
 		Source: SourceGround,
 		RTT:    s.lsn.SampleRTTToPoP(path, rng),
 	}, nil
+}
+
+// serveFrom is the hit point of stages 1 and 2: it reports whether sat holds
+// a servable copy of the object and the tier read latency the serve pays.
+// Without an intent any cached copy serves and the lookup is counted on the
+// cache. With one the copy is classified first — an expired copy records a
+// drop and does not serve; a fresh or stale one records the hit (and, when
+// stale, the off-path revalidating refill) — and nothing is mutated.
+func (s *System) serveFrom(sat constellation.SatID, req *Request, t time.Duration, it *lcIntent) (time.Duration, bool) {
+	id := req.Obj.ID
+	key := cache.Key(id)
+	if it == nil {
+		return 0, s.caches[int(sat)].Get(key)
+	}
+	entry, ok := s.caches[int(sat)].Entry(key)
+	if !ok {
+		return 0, false
+	}
+	f, inconsistent := s.lc.Classify(int(sat), entry, id, t)
+	if f == lifecycle.Expired {
+		// Purge-superseded entries drop as EvictPurged, TTL runouts as
+		// EvictTTLExpired.
+		reason := cache.EvictTTLExpired
+		if s.lc.Superseded(int(sat), entry, id, t) {
+			reason = cache.EvictPurged
+		}
+		it.addDrop(sat, reason)
+		return 0, false
+	}
+	it.valid = true
+	it.hit, it.hitSat = true, sat
+	it.inconsistent = inconsistent
+	it.class = ServeFresh
+	if f != lifecycle.Fresh {
+		// Stale-while-revalidate: serve the cached copy now, refresh
+		// off-path (a coalescable origin contact).
+		it.class = ServeStale
+		s.originContact(it, sat, req.Client)
+	}
+	return s.tierRead(sat, key), true
 }
 
 // ResolveReference is the pre-acceleration resolve pipeline, kept verbatim:
@@ -244,20 +401,12 @@ func (s *System) cacheGet(id constellation.SatID, obj content.ID) bool {
 	return s.caches[int(id)].Get(cache.Key(obj))
 }
 
-// pathTreer prices ISL legs off memoized shortest-path trees. Satisfied by
-// *constellation.Snapshot (healthy topology, fault epoch 0) and
-// *constellation.MaskedView (degraded topology, its own epoch); both are
-// pointer receivers, so the interface costs no allocation per call.
-type pathTreer interface {
-	PathTree(constellation.SatID) *routing.SPTree
-}
-
 // islOneWay returns the one-way ISL latency (propagation plus per-hop
 // switching) and the hop count between two satellites on the cheapest path,
 // priced off the topology's memoized path tree. ok is false when to is
 // unreachable from from — callers must treat the replica as unusable and
 // fall through to the ground stage, never price it as free.
-func (s *System) islOneWay(topo pathTreer, from, to constellation.SatID) (time.Duration, int, bool) {
+func (s *System) islOneWay(topo topology, from, to constellation.SatID) (time.Duration, int, bool) {
 	if from == to {
 		return 0, 0, true
 	}
@@ -272,7 +421,7 @@ func (s *System) islOneWay(topo pathTreer, from, to constellation.SatID) (time.D
 }
 
 // islRoundTrip returns the two-way ISL latency and hop count.
-func (s *System) islRoundTrip(topo pathTreer, from, to constellation.SatID) (time.Duration, int, bool) {
+func (s *System) islRoundTrip(topo topology, from, to constellation.SatID) (time.Duration, int, bool) {
 	d, h, ok := s.islOneWay(topo, from, to)
 	return 2 * d, h, ok
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"spacecdn/internal/cache"
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
@@ -141,6 +142,49 @@ func TestResolveISL(t *testing.T) {
 		time.Duration(s.cfg.SchedFloorRTTMs*float64(time.Millisecond))
 	if res.RTT <= overheadRTT {
 		t.Error("ISL fetch must cost more than overhead fetch")
+	}
+}
+
+// lateFill is a satellite cache whose first counted lookup misses and whose
+// later ones see the real contents: a fill landing between the stage-1 probe
+// and the stage-2 search, made deterministic.
+type lateFill struct {
+	cache.Cache
+	probed bool
+}
+
+func (c *lateFill) Get(k cache.Key) bool {
+	if !c.probed {
+		c.probed = true
+		return false
+	}
+	return c.Cache.Get(k)
+}
+
+// TestResolveLateFillIsOverhead: when the replica search lands on the uplink
+// satellite itself no ISL leg is priced, so the answer is an overhead serve —
+// never `isl` with 0 hops.
+func TestResolveLateFillIsOverhead(t *testing.T) {
+	s := newSystem(t, DefaultConfig())
+	snap := testConst.Snapshot(0)
+	maputo := geo.NewPoint(-25.9692, 32.5732)
+	up, ok := snap.BestVisible(maputo)
+	if !ok {
+		t.Fatal("no visibility")
+	}
+	o := testObject("late-fill")
+	s.Store(up.ID, o)
+	s.caches[int(up.ID)] = &lateFill{Cache: s.caches[int(up.ID)]}
+	res, err := s.Resolve(maputo, "MZ", o, snap, stats.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Resolve(maputo, "MZ", o, snap, stats.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Source != SourceOverhead || res != want {
+		t.Fatalf("late fill resolved %+v, want the plain overhead serve %+v", res, want)
 	}
 }
 

@@ -270,10 +270,12 @@ func (s *System) activeSet(t time.Duration) routing.Bitset {
 
 // SetFaultPlan attaches (or, with nil, detaches) a fault-injection plan.
 // With a plan attached, Resolve consults it at each request's snapshot time:
-// at times with active outages the degraded pipeline reroutes around dead
-// satellites, ISLs, and PoPs; at fault-free times — and always with a nil or
-// empty plan — the healthy pipeline runs byte-identically, consuming the
-// same rng draws. Attach before concurrent resolves begin.
+// at times with active outages the pipeline prices against the fault-masked
+// topology, rerouting around dead satellites, ISLs, and PoPs; at fault-free
+// times — and always with a nil or empty plan — it prices against the
+// healthy snapshot byte-identically, consuming the same rng draws. Lifecycle
+// classification is unaffected either way. Attach before concurrent
+// resolves begin.
 func (s *System) SetFaultPlan(p *faults.Plan) { s.faults = p }
 
 // FaultPlan returns the attached fault plan, or nil.
@@ -281,7 +283,7 @@ func (s *System) FaultPlan() *faults.Plan { return s.faults }
 
 // FaultStats is a snapshot of the always-on degraded-mode counters.
 type FaultStats struct {
-	// DegradedRequests counts resolves that ran the degraded pipeline
+	// DegradedRequests counts resolves priced against a masked topology
 	// (at least one outage active at the request's snapshot time).
 	DegradedRequests int64
 	// UplinkFailovers counts requests whose healthy overhead satellite was

@@ -11,7 +11,10 @@
 #   test   go test
 #   race   go test -race, then the lock-free ground-point memo's tests again
 #          at -count=5 -cpu 1,2,4: a CAS-published table is exactly the code
-#          one -race pass at one GOMAXPROCS can miss
+#          one -race pass at one GOMAXPROCS can miss; then the resolve entry
+#          points' schedule-sensitive tests at -count=3 -cpu 1,2,4: Resolve,
+#          ResolveAt (inline and applier) and ResolveAll share one pipeline
+#          body, so it should see more than one GOMAXPROCS too
 #   benchmod  vet and test the repository benchmark (bench/), a nested module
 #          the root `go test ./...` never sees
 #   smoke  CLI run asserting the telemetry artifact parses with non-zero
@@ -94,6 +97,7 @@ stage_test() {
 stage_race() {
 	go test -race ./...
 	go test -race -count=5 -cpu 1,2,4 -run 'Visib|GroundMemo' ./internal/constellation
+	go test -race -count=3 -cpu 1,2,4 -run 'ResolveAt|Lifecycle|Applier|Stress' ./internal/spacecdn ./internal/serve
 }
 
 stage_benchmod() {
