@@ -13,7 +13,7 @@ import (
 
 // TestEpochSwapStress hammers the epoch-publication protocol: N resolver
 // goroutines serve continuously while the sweeper advances sim time every
-// few milliseconds, a fault plan activates and repairs mid-run, and the
+// millisecond, a fault plan activates and repairs mid-run, and the
 // lifecycle applier fields cold-object misses. Run under -race this is the
 // torn-read detector for the whole serving core; the in-test assertions
 // add the semantic half — every response carries an (epoch, sim-time) pair
@@ -37,11 +37,8 @@ func TestEpochSwapStress(t *testing.T) {
 		{Kind: faults.KindSatellite, Sat: 11, Start: faultFrom, End: faultUntil},
 	}))
 	sys.SetLifecycle(lifecycle.NewManager(lifecycle.DefaultPolicy(), testConst.Total()))
-	// The interval leaves the resolvers most of a single core even under the
-	// race detector, where one epoch build costs over a millisecond: a sweeper
-	// that never blocks would publish the whole outage window before any
-	// resolver ran on it.
-	srv, err := New(sys, Config{Seed: 7, Step: step, Interval: 5 * time.Millisecond})
+	// No Interval: the test goroutine is the sweeper (below).
+	srv, err := New(sys, Config{Seed: 7, Step: step})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +107,18 @@ func TestEpochSwapStress(t *testing.T) {
 		}()
 	}
 
+	// Sweep from here, through the advance() the daemon's sweepLoop calls, one
+	// epoch per millisecond — but hold a degraded epoch until a resolver has
+	// served on one. A free-running sweeper on one core under the race
+	// detector, where an epoch build outlasts the tick, never blocks and
+	// publishes the whole outage window before any resolver is scheduled.
 	deadline := time.Now().Add(30 * time.Second)
 	for srv.Stats().Epochs < wantEpochs && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+		if srv.Epoch().Degraded() && sys.FaultStats().DegradedRequests == 0 {
+			continue
+		}
+		srv.advance()
 	}
 	close(stop)
 	wg.Wait() // resolvers drain before Close stops the applier

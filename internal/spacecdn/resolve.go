@@ -173,18 +173,19 @@ func (s *System) resolveStaged(ep *Epoch, req *Request, rng *stats.Rand, d *reso
 	if it != nil {
 		it.obj = req.Obj
 	}
-	up, ok := snap.BestVisible(client)
+	up, ok := topo.BestVisible(client)
 	if fv != nil {
 		s.fstats.degraded.Add(1)
 		if d != nil {
 			d.degraded = true
 		}
-		if ok && fv.SatDead(up.ID) {
+		// The masked election failed over iff the healthy one (a memo hit by
+		// now) picked a dead satellite.
+		if best, vis := snap.BestVisible(client); vis && fv.SatDead(best.ID) {
 			s.fstats.uplinkFO.Add(1)
 			if d != nil {
 				d.uplinkFailover = true
 			}
-			up, ok = topo.BestVisible(client)
 		}
 	}
 	if !ok {
@@ -228,7 +229,10 @@ func (s *System) resolveStaged(ep *Epoch, req *Request, rng *stats.Rand, d *reso
 		// A replica unreachable over ISLs (partitioned topology) falls
 		// through to the ground stage instead of pricing the fetch as free.
 		if islRTT, hops, reachable := s.islRoundTrip(topo, up.ID, target); reachable {
-			if tierLat, ok := s.serveFrom(target, req, t, it); ok {
+			// Without an intent the replica index is the authority here: a
+			// copy evicted since the search still serves, and the counted
+			// lookup only records the hit.
+			if tierLat, ok := s.serveFrom(target, req, t, it); ok || it == nil {
 				if d != nil {
 					d.islRTT = islRTT
 				}

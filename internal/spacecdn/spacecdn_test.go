@@ -188,6 +188,41 @@ func TestResolveLateFillIsOverhead(t *testing.T) {
 	}
 }
 
+// TestResolveIndexedReplicaServesDespiteCountedMiss: with no lifecycle manager
+// the replica index decides stage 2. A copy evicted between the search and
+// the counted lookup (the index running ahead of the cache) still serves over
+// ISLs; the request does not fall to ground and draws no ground-stage rng.
+func TestResolveIndexedReplicaServesDespiteCountedMiss(t *testing.T) {
+	s := newSystem(t, DefaultConfig())
+	snap := testConst.Snapshot(0)
+	maputo := geo.NewPoint(-25.9692, 32.5732)
+	up, _ := snap.BestVisible(maputo)
+	var target constellation.SatID = -1
+	for _, hr := range snap.ISLGraph().WithinHops(routing.NodeID(up.ID), 3) {
+		if hr.Hops == 3 {
+			target = constellation.SatID(hr.Node)
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("no 3-hop satellite")
+	}
+	o := testObject("evicted-under-search")
+	s.Store(target, o)
+	want, err := s.Resolve(maputo, "MZ", o, snap, stats.NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.caches[int(target)] = &lateFill{Cache: s.caches[int(target)]}
+	got, err := s.Resolve(maputo, "MZ", o, snap, stats.NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Source != SourceISL || got != want {
+		t.Fatalf("counted miss on an indexed replica resolved %+v, want the ISL serve %+v", got, want)
+	}
+}
+
 func TestResolveGroundFallback(t *testing.T) {
 	s := newSystem(t, DefaultConfig())
 	snap := testConst.Snapshot(0)
