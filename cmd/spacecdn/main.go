@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	spacecdn -exp table1|fig2|fig3|fig4|fig5|fig7|fig8|ablation-replicas|capacity|workload|resilience|traffic|parallel-bench|resolve-bench|sweep-bench|scale-bench|serve-bench|all
+//	spacecdn -exp table1|fig2|fig3|fig4|fig5|fig7|fig8|ablation-replicas|capacity|workload|resilience|traffic|lifecycle|scale-bench|all
 //	         [-fast] [-seed N] [-json] [-city NAME] [-workers N]
 //	         [-metrics-out FILE] [-trace-sample RATE]
 //	         [-series-out FILE] [-series-window DUR] [-trace-out FILE]

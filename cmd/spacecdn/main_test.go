@@ -242,7 +242,7 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 		seen[e.id] = true
 	}
-	for _, id := range []string{"table1", "workload", "resilience", "resolve-bench", "serve-bench"} {
+	for _, id := range []string{"table1", "workload", "resilience", "traffic", "lifecycle", "scale-bench"} {
 		if !seen[id] {
 			t.Errorf("registry missing %q", id)
 		}
@@ -267,7 +267,7 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-// TestRunResilienceJSON: the CI artifact path — resilience with -json emits a
+// TestRunResilienceJSON: resilience with -json emits a
 // parseable sweep whose zero-fault row proves the fault-free identity.
 func TestRunResilienceJSON(t *testing.T) {
 	var buf bytes.Buffer
@@ -314,35 +314,5 @@ func TestRunWorkersFlag(t *testing.T) {
 	}
 	if seq.String() != par.String() {
 		t.Errorf("workload output differs between -workers 1 and 4:\n%s\n---\n%s", seq.String(), par.String())
-	}
-}
-
-// TestRunParallelBenchJSON: the CI artifact path — parallel-bench with -json
-// emits a parseable record with sane fields.
-func TestRunParallelBenchJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, options{Exp: "parallel-bench", Fast: true, Seed: 1, JSON: true}); err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Requests     int
-		SeqWorkers   int
-		ParWorkers   int
-		SeqReqPerSec float64
-		ParReqPerSec float64
-		Speedup      float64
-		Identical    bool
-	}
-	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &res); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if res.Requests == 0 || res.SeqWorkers != 1 || res.ParWorkers < 1 {
-		t.Errorf("malformed result: %+v", res)
-	}
-	if !res.Identical {
-		t.Errorf("parallel run diverged from sequential: %+v", res)
-	}
-	if res.SeqReqPerSec <= 0 || res.ParReqPerSec <= 0 {
-		t.Errorf("non-positive throughput: %+v", res)
 	}
 }

@@ -14,8 +14,9 @@ import (
 
 // experiment is one registry entry: the id the -exp flag accepts, a one-line
 // description (-list), whether "all" includes it, and its runner. The
-// benchmarks and the resilience sweep stay out of "all" — they rebuild
-// systems repeatedly and would dominate a full regeneration run.
+// sweeps that deploy a system per point (resilience, traffic, lifecycle,
+// scale-bench) stay out of "all" — they would dominate a full regeneration
+// run.
 type experiment struct {
 	id    string
 	desc  string
@@ -51,11 +52,7 @@ func registry() []experiment {
 		{"resilience", "Resilience sweep: availability, tail latency and source mix vs failure fraction", false, runResilience},
 		{"traffic", "Traffic engine: a million-user streaming day through the resolve path", false, runTraffic},
 		{"lifecycle", "Content lifecycle: TTL class mix x churn x purge sweep, coalescing, purge floods", false, runLifecycle},
-		{"parallel-bench", "Benchmark: batch resolution throughput vs workers", false, runParallelBench},
-		{"resolve-bench", "Benchmark: naive vs accelerated resolve pipeline", false, runResolveBench},
-		{"sweep-bench", "Benchmark: incremental sweep vs fresh per-step snapshots", false, runSweepBench},
-		{"scale-bench", "Benchmark: snapshot, sweep and resolve costs vs constellation size", false, runScaleBench},
-		{"serve-bench", "Benchmark: daemon serving core — worker scaling, allocs/req, replay", false, runServeBench},
+		{"scale-bench", "Scale sweep: snapshot, sweep and resolve costs vs constellation size (printed, ungated)", false, runScaleBench},
 	}
 }
 
@@ -558,76 +555,6 @@ func runLifecycle(w io.Writer, s *experiments.Suite, opts options) error {
 		"purge reached %d/%d sats (masked: %d/%d with %d dead); TTL response: %v; disabled path identical: %v\n",
 		res.PurgeReached, res.PurgeTotalSats, res.MaskedReached, res.PurgeTotalSats,
 		res.MaskedDeadSats, res.TTLResponse, res.DisabledIdentical)
-	return err
-}
-
-func runParallelBench(w io.Writer, s *experiments.Suite, opts options) error {
-	res, err := s.ParallelBench()
-	if err != nil {
-		return err
-	}
-	if opts.JSON {
-		return report.WriteJSON(w, res)
-	}
-	t := report.NewTable("Parallel engine: batch resolution throughput",
-		"Requests", "Workers", "Req/s", "Speedup", "Identical")
-	t.AddRow(res.Requests, res.SeqWorkers, res.SeqReqPerSec, 1.0, res.Identical)
-	t.AddRow(res.Requests, res.ParWorkers, res.ParReqPerSec, res.Speedup, res.Identical)
-	return t.Render(w)
-}
-
-func runResolveBench(w io.Writer, s *experiments.Suite, opts options) error {
-	res, err := s.ResolveBench()
-	if err != nil {
-		return err
-	}
-	if opts.JSON {
-		return report.WriteJSON(w, res)
-	}
-	t := report.NewTable("Resolve acceleration: naive vs memoized single-worker pipeline",
-		"Pipeline", "Requests", "Req/s", "Allocs/op", "Speedup", "Identical")
-	t.AddRow("naive", res.Requests, res.NaiveReqPerSec, res.NaiveAllocsPerOp, 1.0, res.Identical)
-	t.AddRow("accelerated", res.Requests, res.AccelReqPerSec, res.AccelAllocsPerOp, res.Speedup, res.Identical)
-	t.AddRow("steady-state", res.SteadyRequests, "", res.SteadyAllocsPerOp, "", res.Identical)
-	return t.Render(w)
-}
-
-func runSweepBench(w io.Writer, s *experiments.Suite, opts options) error {
-	res, err := s.SweepBench()
-	if err != nil {
-		return err
-	}
-	if opts.JSON {
-		return report.WriteJSON(w, res)
-	}
-	t := report.NewTable("Sweep engine: incremental advance vs per-step world rebuild",
-		"Pipeline", "Steps", "Steps/s", "Allocs/step", "Speedup", "Identical")
-	t.AddRow("fresh", res.Steps, res.FreshStepsPerSec, "", 1.0, res.Identical)
-	t.AddRow("sweep", res.Steps, res.SweepStepsPerSec, res.SweepAllocsPerStep, res.Speedup, res.Identical)
-	return t.Render(w)
-}
-
-func runServeBench(w io.Writer, s *experiments.Suite, opts options) error {
-	res, err := s.ServeBench()
-	if err != nil {
-		return err
-	}
-	if opts.JSON {
-		return report.WriteJSON(w, res)
-	}
-	t := report.NewTable("Serving daemon: closed-loop throughput vs workers (live sweeper)",
-		"Workers", "Requests", "Req/s", "p50 ms", "p95 ms", "p99 ms", "Stale")
-	for _, r := range res.Rows {
-		t.AddRow(r.Workers, res.RequestsPerRow, r.ReqPerSec, r.P50Ms, r.P95Ms, r.P99Ms, r.Stale)
-	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w,
-		"scaling %0.2fx; steady allocs/req %v over %d space-served; replay identical: %v\n"+
-			"http %0.0f req/s; %d epoch swaps (p99 %0.3f ms), %d stale-epoch serves\n",
-		res.ScalingX, res.SteadyAllocsPerReq, res.SteadyRequests, res.ReplayIdentical,
-		res.HTTPReqPerSec, res.EpochSwaps, res.EpochSwapP99Ms, res.StaleServed)
 	return err
 }
 

@@ -6,7 +6,6 @@
 //
 //	spacecdnd [-addr HOST:PORT] [-seed N] [-step DUR] [-interval DUR]
 //	          [-cities N] [-replay-seed N] [-trace-sample RATE]
-//	          [-burst N [-burst-workers N] [-burst-http]]
 //	          [-metrics-out FILE]
 //
 // The daemon deploys a default constellation, places the standard
@@ -20,11 +19,9 @@
 // further into sim time; requests pin epochs with one atomic load and are
 // never blocked by the swap.
 //
-// With -burst N the daemon drives itself: it boots, fires N closed-loop
-// requests from -burst-workers workers (over real HTTP sockets with
-// -burst-http, in-process otherwise), prints the loadgen summary, shuts
-// down cleanly and exits 0 — the verify.sh serve stage runs exactly this.
-// Without -burst it serves until SIGINT/SIGTERM.
+// The daemon serves until SIGINT/SIGTERM, then drains, exports and exits 0
+// — the verify.sh serve stage boots the built binary, drives it over real
+// sockets and signals it.
 //
 // -metrics-out writes the accumulated telemetry on shutdown (Prometheus
 // text for .prom/.txt files, a JSON snapshot otherwise — the format
@@ -46,7 +43,6 @@ import (
 	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/measure"
 	"spacecdn/internal/serve"
-	"spacecdn/internal/serve/loadgen"
 	"spacecdn/internal/spacecdn"
 	"spacecdn/internal/telemetry"
 )
@@ -61,12 +57,7 @@ type options struct {
 	Cities      int
 	ReplaySeed  int64
 	TraceSample float64
-
-	Burst        int
-	BurstWorkers int
-	BurstHTTP    bool
-
-	MetricsOut string
+	MetricsOut  string
 }
 
 // defaultOptions mirrors the flag defaults: a live local daemon sweeping
@@ -74,13 +65,12 @@ type options struct {
 func defaultOptions() options {
 	cfg := serve.DefaultConfig()
 	return options{
-		Addr:         "127.0.0.1:8080",
-		Seed:         cfg.Seed,
-		Step:         cfg.Step,
-		Interval:     cfg.Interval,
-		Cities:       12,
-		TraceSample:  0.01,
-		BurstWorkers: 4,
+		Addr:        "127.0.0.1:8080",
+		Seed:        cfg.Seed,
+		Step:        cfg.Step,
+		Interval:    cfg.Interval,
+		Cities:      12,
+		TraceSample: 0.01,
 	}
 }
 
@@ -94,9 +84,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.IntVar(&opts.Cities, "cities", opts.Cities, "Starlink cities the serving workload spans")
 	fs.Int64Var(&opts.ReplaySeed, "replay-seed", opts.ReplaySeed, "non-zero switches to per-request-index rng streams for byte-reproducible replay")
 	fs.Float64Var(&opts.TraceSample, "trace-sample", opts.TraceSample, "fraction of requests retained as telemetry traces")
-	fs.IntVar(&opts.Burst, "burst", opts.Burst, "self-drive N requests, print the summary and exit (0 = serve until SIGINT)")
-	fs.IntVar(&opts.BurstWorkers, "burst-workers", opts.BurstWorkers, "closed-loop workers for -burst")
-	fs.BoolVar(&opts.BurstHTTP, "burst-http", opts.BurstHTTP, "drive the -burst over real HTTP sockets instead of in-process")
 	fs.StringVar(&opts.MetricsOut, "metrics-out", opts.MetricsOut, "write telemetry on shutdown (.prom/.txt: Prometheus text, else JSON snapshot)")
 	if err := fs.Parse(args); err != nil {
 		return opts, err
@@ -115,10 +102,16 @@ func main() {
 	}
 }
 
-// run boots the daemon and blocks until the burst finishes or stop (nil
-// means OS signals) fires. It owns the full lifecycle: deploy, serve,
-// drain, export, close.
+// run boots the daemon and blocks until stop (nil means OS signals) fires.
+// It owns the full lifecycle: deploy, serve, drain, export, close.
 func run(w io.Writer, opts options, stop <-chan struct{}) error {
+	// Registered before the address is printed, so a supervisor that
+	// signals as soon as it sees the line still gets the clean shutdown.
+	sig := make(chan os.Signal, 1)
+	if stop == nil {
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
+	}
 	env, err := measure.NewEnvironment()
 	if err != nil {
 		return err
@@ -140,8 +133,7 @@ func run(w io.Writer, opts options, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	wl, err := srv.PlaceWorkload(opts.Cities)
-	if err != nil {
+	if _, err := srv.PlaceWorkload(opts.Cities); err != nil {
 		return err
 	}
 	if err := srv.Start(); err != nil {
@@ -152,35 +144,11 @@ func run(w io.Writer, opts options, stop <-chan struct{}) error {
 			addr, srv.Epoch().Seq(), opts.Step, opts.Interval)
 	}
 
-	if opts.Burst > 0 {
-		cfg := loadgen.Config{Workers: opts.BurstWorkers, Requests: opts.Burst}
-		if opts.BurstHTTP {
-			if srv.Addr() == "" {
-				return fmt.Errorf("-burst-http needs a listener; set -addr")
-			}
-			cfg.Mode = loadgen.HTTP
-			cfg.BaseURL = "http://" + srv.Addr()
-		}
-		res, err := loadgen.Run(srv, wl, cfg)
-		if err != nil {
-			return err
-		}
-		st := srv.Stats()
-		fmt.Fprintf(w, "burst: %d requests, %d errors, %0.0f req/s (p50 %0.3f ms, p95 %0.3f ms, p99 %0.3f ms)\n",
-			res.Requests, res.Errors, res.ReqPerSec, res.P50Ms, res.P95Ms, res.P99Ms)
-		fmt.Fprintf(w, "epochs: %d published (swap p99 %0.3f ms), %d stale-epoch serves\n",
-			st.Epochs, st.SwapP99Ms, st.StaleServed)
-	} else {
-		if stop == nil {
-			sig := make(chan os.Signal, 1)
-			signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-			defer signal.Stop(sig)
-			<-sig
-		} else {
-			<-stop
-		}
-		fmt.Fprintln(w, "shutting down")
+	select {
+	case <-sig:
+	case <-stop:
 	}
+	fmt.Fprintln(w, "shutting down")
 
 	if err := srv.Close(); err != nil {
 		return err

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +22,6 @@ func TestParseFlagsRoundTrip(t *testing.T) {
 	opts, err := parseFlags(fs, []string{
 		"-addr", "127.0.0.1:0", "-seed", "7", "-step", "30s", "-interval", "2ms",
 		"-cities", "6", "-replay-seed", "99", "-trace-sample", "0.5",
-		"-burst", "120", "-burst-workers", "3", "-burst-http",
 		"-metrics-out", "m.json",
 	})
 	if err != nil {
@@ -27,35 +30,91 @@ func TestParseFlagsRoundTrip(t *testing.T) {
 	want := options{
 		Addr: "127.0.0.1:0", Seed: 7, Step: 30 * time.Second, Interval: 2 * time.Millisecond,
 		Cities: 6, ReplaySeed: 99, TraceSample: 0.5,
-		Burst: 120, BurstWorkers: 3, BurstHTTP: true,
 		MetricsOut: "m.json",
 	}
 	if opts != want {
 		t.Fatalf("parsed %+v, want %+v", opts, want)
 	}
-	if def := defaultOptions(); def.Burst != 0 || def.Interval <= 0 || def.Addr == "" {
+	if def := defaultOptions(); def.Interval <= 0 || def.Addr == "" {
 		t.Fatalf("implausible defaults %+v", def)
 	}
 }
 
-// TestBurstRun is the end-to-end daemon smoke: boot with a live sweeper,
-// self-drive a burst over real HTTP sockets, export telemetry, exit clean.
-func TestBurstRun(t *testing.T) {
+// lockedBuffer lets a test read run()'s output while run is still writing.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+var servingLine = regexp.MustCompile(`spacecdnd serving on (http://\S+)`)
+
+// TestRunServesHTTP is the end-to-end daemon test: boot run() with a live
+// sweeper, issue real HTTP GETs at the address it printed, stop it, and
+// require the exported telemetry to account for exactly those requests.
+func TestRunServesHTTP(t *testing.T) {
+	const n = 40
 	metrics := filepath.Join(t.TempDir(), "METRICS.json")
-	var out bytes.Buffer
+	var out lockedBuffer
 	opts := defaultOptions()
 	opts.Addr = "127.0.0.1:0"
 	opts.Interval = 2 * time.Millisecond
 	opts.Cities = 6
-	opts.Burst = 120
-	opts.BurstWorkers = 2
-	opts.BurstHTTP = true
 	opts.TraceSample = 0.05
 	opts.MetricsOut = metrics
-	if err := run(&out, opts, nil); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- run(&out, opts, stop) }()
+
+	var base string
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if m := servingLine.FindStringSubmatch(out.String()); m != nil {
+			base = m[1]
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("run exited before serving: %v\n%s", err, out.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no serving line within 30s:\n%s", out.String())
+		}
 	}
-	for _, want := range []string{"spacecdnd serving on http://", "burst: 120 requests, 0 errors", "epochs:", "telemetry written to"} {
+	objs := []string{"srv-hot", "srv-warm", "srv-cold"}
+	for i := 0; i < n; i++ {
+		// Maputo: covered by Shell 1 at every instant the sweeper reaches.
+		resp, err := http.Get(base + "/resolve?lat=-25.97&lon=32.57&iso2=MZ&obj=" + objs[i%len(objs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	close(stop)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v\n%s", err, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down after stop")
+	}
+	for _, want := range []string{"shutting down", "telemetry written to"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
@@ -77,8 +136,8 @@ func TestBurstRun(t *testing.T) {
 			swaps = c.Value
 		}
 	}
-	if served != 120 || swaps < 1 {
-		t.Fatalf("exported serve counters: requests=%d swaps=%d, want 120 and >= 1", served, swaps)
+	if served != n || swaps < 1 {
+		t.Fatalf("exported serve counters: requests=%d swaps=%d, want %d and >= 1", served, swaps, n)
 	}
 }
 

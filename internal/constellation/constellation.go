@@ -184,8 +184,8 @@ func (c *Constellation) ShellRange(i int) (first SatID, count int) {
 func (c *Constellation) ShellOf(id SatID) int { return c.shellOf(id) }
 
 // GridDims reports the visibility-grid resolution the adaptive sizing rule
-// chose for this constellation's satellite count. Diagnostic — ScaleBench
-// records it next to its throughput numbers.
+// chose for this constellation's satellite count. Diagnostic — the
+// scale-bench experiment prints it and TestScaleBench pins it.
 func (c *Constellation) GridDims() (rows, cols int) { return c.geom.rows, c.geom.cols }
 
 // PathMemoCap reports the per-snapshot path-memo capacity, which scales with

@@ -274,6 +274,7 @@ func TestAdaptiveGridSizing(t *testing.T) {
 		{0, 18, 2},
 		{1584, 18, 2},
 		{3236, 21, 2},
+		{4820, 25, 2},
 		{7500, 31, 3},
 		{10736, 37, 4},
 	} {

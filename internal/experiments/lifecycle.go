@@ -19,8 +19,8 @@ import (
 // batch proving request coalescing collapses origin fan-in, purge floods
 // over healthy and fault-masked topologies with their inconsistency
 // windows, and a replay proving the disabled path is byte-identical to the
-// pre-lifecycle pipeline. CI emits the result as BENCH_lifecycle.json and
-// the bench-regression gate holds every commit to its bands.
+// pre-lifecycle pipeline. TestGoldenExperiments holds the deterministic
+// rows to testdata/golden.json.
 
 // lifecycleMix is one TTL class mix point of the sweep: the catalog
 // fractions assigned to each dynamic class (the remainder stays static).

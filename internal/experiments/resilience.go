@@ -14,9 +14,9 @@ import (
 // This file implements the resilience experiment (id "resilience"): serve the
 // workload's hot/warm/cold request mix through a degraded constellation and
 // sweep the failure fraction against availability, tail-latency inflation,
-// and the serving-source mix. CI emits the result as BENCH_resilience.json,
-// so every commit records how gracefully the resolve path sheds load from
-// space to ground as hardware dies.
+// and the serving-source mix — how gracefully the resolve path sheds load
+// from space to ground as hardware dies. TestGoldenExperiments holds the
+// deterministic rows to testdata/golden.json.
 
 // ResilienceRow aggregates one failure fraction of the sweep.
 type ResilienceRow struct {

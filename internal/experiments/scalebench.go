@@ -36,10 +36,11 @@ type ScalePoint struct {
 	Requests           int     // timed resolve batch size
 }
 
-// ScaleBenchResult is the scale sweep plus the two acceptance flags the
-// bench-regression gate pins: resolve throughput must degrade sub-linearly
-// in satellite count, and sweep advances must stay allocation-free at every
-// scale.
+// ScaleBenchResult is the scale sweep plus its two summary flags: resolve
+// throughput should degrade sub-linearly in satellite count, and sweep
+// advances should stay allocation-free at every scale. Both are printed, not
+// gated — they read the clock and the process-wide malloc counter; the exact
+// zero-alloc bar is TestSweepAdvanceZeroAllocs(Gen2Scale) in constellation.
 type ScaleBenchResult struct {
 	Points []ScalePoint
 
@@ -61,7 +62,7 @@ type scaleConfig struct {
 // scaleConfigs returns the sweep in ascending size: Starlink Shell 1 alone
 // (the paper's setup, 1,584 sats), Shell 1 plus Kuiper (4,820), and Starlink
 // Gen2 plus Kuiper (10,736) — the "every mega-constellation at once" stress
-// point. Fast mode keeps the smallest two; the CI scale stage runs fast.
+// point. Fast mode keeps the smallest two.
 func scaleConfigs(fast bool) []scaleConfig {
 	cfgs := []scaleConfig{
 		{"shell1", []orbit.Walker{orbit.StarlinkShell1()}},
@@ -72,6 +73,17 @@ func scaleConfigs(fast bool) []scaleConfig {
 		cfgs = cfgs[:2]
 	}
 	return cfgs
+}
+
+// scaleStep is the per-step world maintenance plus a light query load: one
+// uplink selection and the routing bound. Deliberately no Dijkstra — path
+// trees are priced by the resolve measurement below.
+func scaleStep(snap *constellation.Snapshot, p geo.Point) float64 {
+	acc := snap.ISLGraph().MaxEdgeWeight()
+	if v, ok := snap.BestVisible(p); ok {
+		acc += v.ElevationDeg
+	}
+	return acc
 }
 
 // ScaleBench sweeps constellation size and measures how the per-satellite
@@ -142,22 +154,21 @@ func (s *Suite) scalePoint(sc scaleConfig) (ScalePoint, error) {
 	}
 	pt.SnapshotBuildMs = float64(buildDur) / float64(time.Millisecond)
 
-	// Sweep rate: steady-state advances of a warm cursor with the same light
-	// query load sweep-bench uses, min-of-reps against scheduler noise.
+	// Sweep rate: steady-state advances of a warm cursor under a light query
+	// load, min-of-reps against scheduler noise.
 	const step = 15 * time.Second
 	steps := 240
 	if s.Fast {
 		steps = 100
 	}
 	cur := c.Sweep(0, step)
-	sweepBenchStep(cur.At(), []geo.Point{probe}) // materialize grid lists and graph
+	scaleStep(cur.At(), probe) // materialize grid lists and graph
 	sink := 0.0
 	sweepDur := time.Duration(1<<63 - 1)
 	for rep := 0; rep < 3; rep++ {
 		start := time.Now()
 		for i := 0; i < steps; i++ {
-			acc, _ := sweepBenchStep(cur.Advance(), []geo.Point{probe})
-			sink += acc
+			sink += scaleStep(cur.Advance(), probe)
 		}
 		if d := time.Since(start); d < sweepDur {
 			sweepDur = d
@@ -178,7 +189,8 @@ func (s *Suite) scalePoint(sc scaleConfig) (ScalePoint, error) {
 	_ = sink
 
 	// Resolve throughput: a full SpaceCDN deployment over this constellation
-	// with the resolve-bench hot/warm/cold mix. Telemetry stays detached.
+	// with a 3:2:1 hot/warm/cold mix (five of six requests served from space,
+	// the sixth through the ground fallback). Telemetry stays detached.
 	ground := groundseg.NewCatalog()
 	model := lsn.NewModel(c, ground, lsn.DefaultConfig())
 	sys, err := spacecdn.NewSystem(spacecdn.DefaultConfig(), c, model)

@@ -10,11 +10,11 @@ import (
 
 // This file drives the streaming traffic engine (experiment id "traffic"):
 // a modeled production day from a million-user population resolved through
-// the full CDN while the constellation sweeps underneath it. CI emits the
-// result as BENCH_traffic.json and the bench-regression gate
-// (scripts/benchdiff.go) holds every commit to its bands, so this is the
-// standing load harness the scale-out and serving-daemon work is measured
-// against.
+// the full CDN while the constellation sweeps underneath it.
+// TestGoldenExperiments holds the deterministic rows (counts, serving mix,
+// latency percentiles) to testdata/golden.json; the req/s fields are printed
+// for orientation only — bench/'s sim-day workload is where this loop's
+// throughput is measured.
 
 // Placement tiers: the hottest objects ride four replicas per plane, the
 // next tier one. Tiers re-apply whenever a release permutes the ranks —

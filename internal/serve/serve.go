@@ -323,7 +323,13 @@ func (s *Server) sweepLoop() {
 // requests (bounded by ShutdownTimeout), stop the sweeper, then stop the
 // lifecycle applier — requests must have stopped before the applier does,
 // which the HTTP drain guarantees for the network path. In-process callers
-// (load generators) must finish before Close. Idempotent.
+// must finish before Close. Idempotent.
+//
+// A connection still open at the drain deadline is closed by force rather
+// than reported: net/http counts a connection that has not yet sent a
+// request as idle only after five seconds, so a client that connects and
+// says nothing would otherwise turn every shutdown into an error and keep
+// its socket.
 func (s *Server) Close() error {
 	if s.closed {
 		return nil
@@ -334,6 +340,9 @@ func (s *Server) Close() error {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
 		err = s.hsrv.Shutdown(ctx)
 		cancel()
+		if errors.Is(err, context.DeadlineExceeded) {
+			err = s.hsrv.Close()
+		}
 	}
 	if s.sweepStop != nil {
 		close(s.sweepStop)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -185,6 +186,48 @@ func TestServeHTTP(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("clean shutdown: %v", err)
+	}
+}
+
+// TestCloseDropsSilentConnection: a client that connects and never sends a
+// request must not fail the shutdown or keep its socket. http.Server.Shutdown
+// waits five seconds before it counts such a connection idle, which is also
+// the default ShutdownTimeout, so Close has to finish the job itself.
+func TestCloseDropsSilentConnection(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Seed: 6, Addr: "127.0.0.1:0", Interval: 5 * time.Millisecond, ShutdownTimeout: 50 * time.Millisecond})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A served request proves the accept loop is past the silent connection.
+	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	begin := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close with a silent connection open: %v", err)
+	}
+	if d := time.Since(begin); d > 2*time.Second {
+		t.Fatalf("Close took %v with a 50ms drain deadline", d)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent connection after Close: read %d bytes, err %v; want EOF", n, err)
+	}
+	epochs := srv.Stats().Epochs
+	time.Sleep(20 * time.Millisecond)
+	if got := srv.Stats().Epochs; got != epochs {
+		t.Fatalf("sweeper still publishing after Close: %d -> %d", epochs, got)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 

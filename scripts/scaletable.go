@@ -1,10 +1,9 @@
 //go:build ignore
 
 // Command scaletable renders the README's mega-constellation scale table
-// from a BENCH_scale.json artifact (written by `scripts/verify.sh scale` or
-// `go run ./cmd/spacecdn -exp scale-bench -json`).
+// from the scale sweep's JSON on stdin:
 //
-//	go run ./scripts/scaletable.go [BENCH_scale.json]
+//	go run ./cmd/spacecdn -exp scale-bench -json | go run ./scripts/scaletable.go
 //
 // The markdown table goes to stdout; paste it over the table in README.md
 // when refreshing the published numbers. Run the full (non -fast) sweep for
@@ -36,18 +35,9 @@ type result struct {
 }
 
 func main() {
-	file := "BENCH_scale.json"
-	if len(os.Args) > 1 {
-		file = os.Args[1]
-	}
-	data, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scaletable: %v\n", err)
-		os.Exit(1)
-	}
 	var res result
-	if err := json.Unmarshal(data, &res); err != nil {
-		fmt.Fprintf(os.Stderr, "scaletable: parse %s: %v\n", file, err)
+	if err := json.NewDecoder(os.Stdin).Decode(&res); err != nil {
+		fmt.Fprintf(os.Stderr, "scaletable: parse: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Println("| Configuration | Sats | Shells | Grid | Snapshot build | Sweep steps/s | Resolve req/s |")

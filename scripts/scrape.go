@@ -1,13 +1,14 @@
 //go:build ignore
 
-// Command scrape polls a spacecdn run's log file for the introspection
-// address line, then GETs the given paths and asserts each returns 200 with
-// its expected substring:
+// Command scrape polls a log file for the address line of a spacecdn run's
+// introspection endpoint or of the spacecdnd daemon, then GETs the given
+// paths and asserts each returns 200 with its expected substring:
 //
 //	go run ./scripts/scrape.go LOGFILE PATH SUBSTR [PATH SUBSTR ...]
 //
 // An empty SUBSTR skips the body check. Used by scripts/verify.sh's observe
-// stage to prove the live endpoint answers while a run is in flight.
+// stage to prove the live endpoint answers while a run is in flight, and by
+// its serve stage to drive the built daemon over real sockets.
 package main
 
 import (
@@ -20,7 +21,7 @@ import (
 	"time"
 )
 
-var listenLine = regexp.MustCompile(`introspection listening on (http://\S+)`)
+var listenLine = regexp.MustCompile(`(?:introspection listening|spacecdnd serving) on (http://\S+)`)
 
 func main() {
 	if len(os.Args) < 4 || len(os.Args)%2 != 0 {
@@ -42,7 +43,7 @@ func main() {
 		time.Sleep(100 * time.Millisecond)
 	}
 	if base == "" {
-		fail("no introspection address in %s within 60s", logfile)
+		fail("no listen address in %s within 60s", logfile)
 	}
 
 	for i := 2; i < len(os.Args); i += 2 {

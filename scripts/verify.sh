@@ -28,36 +28,21 @@
 #   staticcheck  honnef.co/go/tools staticcheck when the binary is on PATH
 #          (skipped with a notice otherwise — the container image does not
 #          bake it in; CI installs it)
-#   bench  single-iteration benchmark sweep plus the parallel-engine
-#          throughput artifact (BENCH_parallel.json), the resolve
-#          acceleration artifact (BENCH_resolve.json: naive vs accelerated
-#          req/s and allocs/op), the fault-injection sweep artifact
-#          (BENCH_resilience.json: availability, p99 inflation and source
-#          mix vs failure fraction), the sweep-engine artifact
-#          (BENCH_sweep.json: incremental vs fresh steps/sec, allocs per
-#          steady-state advance, output-equivalence flag), the traffic
-#          engine artifact (BENCH_traffic.json: a million-user streaming
-#          day — sustained req/s, serving mix, latency percentiles), and
-#          the serving-daemon artifact (BENCH_serve.json: closed-loop
-#          throughput vs workers under a live sweeper, steady-state
-#          allocs/req, deterministic-replay flag, epoch-swap latency)
-#   scale  mega-constellation scale sweep artifact (BENCH_scale.json:
-#          snapshot-build time, sweep steps/sec and allocations, and resolve
-#          throughput vs satellite count; -fast keeps the smallest two scale
-#          points so the CI gate stays quick)
-#   serve  daemon smoke: boot cmd/spacecdnd with a fast sweeper, self-drive
-#          an HTTP loadgen burst, assert clean shutdown and well-formed
-#          serve counters (requests, epoch swaps, latency histogram) in the
-#          exported telemetry
-#   lifecycle  content lifecycle artifact (BENCH_lifecycle.json: serve mix
-#          under the TTL class mix x churn x purge sweep, flash-crowd
-#          coalescing reduction, purge-flood convergence windows, and the
-#          disabled-path identity flag), plus an instrumented run whose
-#          telemetry is checked for the lifecycle counters (bench runs this
-#          stage too)
-#   benchdiff  bench-regression gate: compares every BENCH_*.json against
-#          the committed bench_baselines.json tolerance bands (runs the
-#          bench stage first if artifacts are missing)
+#   bench  single-iteration smoke of the root package's Go benchmarks (they
+#          must still run; the numbers are measured by bench/, see
+#          bench/README.md)
+#   serve  daemon smoke on the built binary: start cmd/spacecdnd in the
+#          background with a fast sweeper, drive /healthz, /resolve and
+#          /metrics over real sockets, send SIGTERM, require exit 0 and
+#          well-formed serve counters (requests, epoch swaps, latency
+#          histogram) in the telemetry it exports on the way out
+#   lifecycle  instrumented run of the lifecycle experiment whose telemetry
+#          is checked for the lifecycle counters (purge propagation,
+#          coalescing, freshness serves)
+#
+# The deterministic experiment outputs (traffic, resilience, lifecycle) are
+# held by `go test`: internal/experiments TestGoldenExperiments against
+# internal/experiments/testdata/golden.json.
 #
 # No arguments runs the full local gate: fmt vet build staticcheck test
 # benchmod race smoke observe.
@@ -132,31 +117,11 @@ stage_observe() {
 	go run ./scripts/checkmetrics.go "$out/metrics.json" TELEMETRY_series.json "$out/trace.json"
 }
 
-# run_bench regenerates one benchmark artifact: run_bench EXPERIMENT FILE.
-# Every artifact goes through here so the invocation shape (fast, JSON,
-# echoed to the log) stays uniform.
-run_bench() {
-	go run ./cmd/spacecdn -exp "$1" -fast -json >"$2"
-	cat "$2"
-}
-
 stage_bench() {
 	go test -bench=. -benchtime=1x -run '^$' .
-	run_bench parallel-bench BENCH_parallel.json
-	run_bench resolve-bench BENCH_resolve.json
-	run_bench resilience BENCH_resilience.json
-	run_bench sweep-bench BENCH_sweep.json
-	run_bench traffic BENCH_traffic.json
-	run_bench serve-bench BENCH_serve.json
-	stage_lifecycle
 }
 
 stage_lifecycle() {
-	# Two runs: a pure -json run for the artifact (mixing -metrics-out into
-	# the same invocation would append its status line to stdout and corrupt
-	# the JSON), then an instrumented run whose telemetry must carry the
-	# lifecycle counters (purge propagation, coalescing, freshness serves).
-	run_bench lifecycle BENCH_lifecycle.json
 	out=$(mktemp -d)
 	trap 'rm -rf "$out"' EXIT
 	go run ./cmd/spacecdn -exp lifecycle -fast \
@@ -164,37 +129,38 @@ stage_lifecycle() {
 	go run ./scripts/checkmetrics.go -lifecycle "$out/lifecycle-metrics.json"
 }
 
-stage_scale() {
-	run_bench scale-bench BENCH_scale.json
-}
-
 stage_serve() {
-	# Boot the daemon with a fast sweeper, let it drive itself with an HTTP
-	# loadgen burst, and assert a clean shutdown (exit 0) plus well-formed
-	# serve counters in the exported telemetry.
+	# The binary itself, not `go run`: the SIGTERM has to reach the daemon,
+	# and the exit status has to be the daemon's.
 	out=$(mktemp -d)
 	trap 'rm -rf "$out"' EXIT
-	go run ./cmd/spacecdnd -addr 127.0.0.1:0 -interval 5ms -cities 8 \
-		-burst 600 -burst-workers 4 -burst-http -trace-sample 0.02 \
-		-metrics-out "$out/serve-metrics.json"
-	go run ./scripts/checkmetrics.go -serve "$out/serve-metrics.json"
-}
-
-stage_benchdiff() {
-	# The gate needs fresh artifacts; regenerate when any is missing so a
-	# bare `verify.sh benchdiff` works from a clean tree.
-	for artifact in BENCH_parallel.json BENCH_resolve.json BENCH_resilience.json BENCH_sweep.json BENCH_traffic.json BENCH_serve.json BENCH_lifecycle.json; do
-		if [ ! -f "$artifact" ]; then
-			echo "benchdiff: $artifact missing; running bench stage first"
-			stage_bench
-			break
-		fi
-	done
-	if [ ! -f BENCH_scale.json ]; then
-		echo "benchdiff: BENCH_scale.json missing; running scale stage first"
-		stage_scale
+	go build -o "$out/spacecdnd" ./cmd/spacecdnd
+	# Epochs swap every 5 ms but advance sim time by 1 ms, so the sky the
+	# workload was placed under is still the sky the requests below see.
+	"$out/spacecdnd" -addr 127.0.0.1:0 -interval 5ms -step 1ms -cities 8 \
+		-trace-sample 1 -metrics-out "$out/serve-metrics.json" >"$out/run.log" 2>&1 &
+	pid=$!
+	# Maputo is the workload's first city: srv-hot sits on its overhead
+	# satellite, srv-warm is an ISL hop away, srv-cold only on the ground —
+	# one request per serving source, which checkmetrics requires.
+	maputo='/resolve?lat=-25.9692&lon=32.5732&iso2=MZ&obj='
+	if ! go run ./scripts/scrape.go "$out/run.log" \
+		/healthz ok \
+		"${maputo}srv-hot" '"source":"overhead"' \
+		"${maputo}srv-warm" '"source":"isl"' \
+		"${maputo}srv-cold" '"source":"ground"' \
+		/metrics serve_requests_total; then
+		kill "$pid" 2>/dev/null || true
+		cat "$out/run.log" >&2
+		exit 1
 	fi
-	go run ./scripts/benchdiff.go
+	kill -TERM "$pid"
+	if ! wait "$pid"; then
+		echo "spacecdnd did not exit 0 on SIGTERM" >&2
+		cat "$out/run.log" >&2
+		exit 1
+	fi
+	go run ./scripts/checkmetrics.go -serve "$out/serve-metrics.json"
 }
 
 stages="$*"
@@ -204,7 +170,7 @@ fi
 
 for stage in $stages; do
 	case "$stage" in
-	fmt | vet | build | staticcheck | test | benchmod | race | smoke | observe | bench | scale | serve | lifecycle | benchdiff) ;;
+	fmt | vet | build | staticcheck | test | benchmod | race | smoke | observe | bench | serve | lifecycle) ;;
 	*)
 		echo "verify: unknown stage '$stage'" >&2
 		exit 2

@@ -26,7 +26,6 @@ import (
 	"spacecdn/internal/measure"
 	"spacecdn/internal/orbit"
 	"spacecdn/internal/serve"
-	"spacecdn/internal/serve/loadgen"
 	"spacecdn/internal/spacecdn"
 	"spacecdn/internal/stats"
 	"spacecdn/internal/telemetry"
@@ -188,6 +187,17 @@ func DeploySpaceCDN(env *Environment, cfg SpaceCDNConfig) (*SpaceCDN, error) {
 // Apply stores an object on every satellite a placement selects.
 func Apply(s *SpaceCDN, pl Placement, o Object) (int, error) { return spacecdn.Apply(s, pl, o) }
 
+// The three ways a resolution fails; match them with errors.Is.
+var (
+	// ErrNoVisibleSatellite: no (surviving) satellite is above the client.
+	ErrNoVisibleSatellite = spacecdn.ErrNoVisibleSatellite
+	// ErrObjectNotInSpace: no replica within the hop bound and no ground
+	// fallback configured.
+	ErrObjectNotInSpace = spacecdn.ErrObjectNotInSpace
+	// ErrNoGroundPath: the ground stage found no path to any PoP.
+	ErrNoGroundPath = spacecdn.ErrNoGroundPath
+)
+
 // Fault injection and resilience (DESIGN.md §10).
 type (
 	// FaultConfig parameterizes seeded fault-plan generation.
@@ -311,16 +321,6 @@ type (
 	// Epoch is one published serving state: an immutable snapshot plus the
 	// fault view pinned at its instant.
 	Epoch = spacecdn.Epoch
-	// LoadgenConfig parameterizes a closed-loop load-generation run.
-	LoadgenConfig = loadgen.Config
-	// LoadgenResult summarizes one run (throughput and latency quantiles).
-	LoadgenResult = loadgen.Result
-)
-
-// Loadgen driving modes.
-const (
-	LoadgenInProcess = loadgen.InProcess
-	LoadgenHTTP      = loadgen.HTTP
 )
 
 // NewServer builds a serving daemon over a deployed SpaceCDN and publishes
@@ -330,12 +330,6 @@ func NewServer(s *SpaceCDN, cfg ServeConfig) (*Server, error) { return serve.New
 // DefaultServeConfig returns the live-daemon configuration: 100 ms sweeps,
 // each advancing sim time 15 s.
 func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
-
-// RunLoadgen drives a server with closed-loop workers until the request
-// budget is spent.
-func RunLoadgen(srv *Server, wl *ServeWorkload, cfg LoadgenConfig) (LoadgenResult, error) {
-	return loadgen.Run(srv, wl, cfg)
-}
 
 // Measurements and experiments.
 type (

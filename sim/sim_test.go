@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,10 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 	if res.RTT <= 0 || res.RTT > 200*time.Millisecond {
 		t.Errorf("RTT = %v", res.RTT)
+	}
+	// Shell 1 never rises over the pole; the failure is typed.
+	if _, err := sys.Resolve(sim.NewPoint(89, 0), "NO", obj, env.Snapshot(0), sim.NewRand(1)); !errors.Is(err, sim.ErrNoVisibleSatellite) {
+		t.Errorf("polar resolve error = %v, want sim.ErrNoVisibleSatellite", err)
 	}
 }
 
@@ -176,7 +181,7 @@ func TestFacadeTelemetry(t *testing.T) {
 
 // TestFacadeServe exercises the serving-daemon surface exactly as a
 // downstream user would: deploy, wrap in a Server, place the standard
-// workload, drive a closed-loop burst, inspect stats.
+// workload, serve a run of requests, inspect stats.
 func TestFacadeServe(t *testing.T) {
 	env, err := sim.NewEnvironment()
 	if err != nil {
@@ -204,23 +209,17 @@ func TestFacadeServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunLoadgen(srv, wl, sim.LoadgenConfig{Workers: 2, Requests: 90, Mode: sim.LoadgenInProcess})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 90 || res.Errors != 0 || res.ReqPerSec <= 0 {
-		t.Fatalf("loadgen result %+v, want 90 clean requests", res)
+	sc := srv.AcquireScratch()
+	defer srv.ReleaseScratch(sc)
+	var one sim.ServeResult
+	for i := uint64(0); i < 90; i++ {
+		if one, err = srv.ResolveOnce(wl.Request(i), sc); err != nil || one.Epoch != 1 || one.Stale {
+			t.Fatalf("ResolveOnce(%d) = %+v, %v; want fresh epoch-1 serve", i, one, err)
+		}
 	}
 	var st sim.ServeStats = srv.Stats()
-	if st.Requests != 90 || st.Epochs != 1 {
-		t.Fatalf("serve stats %+v, want 90 requests on 1 epoch", st)
-	}
-	var one sim.ServeResult
-	sc := srv.AcquireScratch()
-	one, err = srv.ResolveOnce(wl.Request(0), sc)
-	srv.ReleaseScratch(sc)
-	if err != nil || one.Epoch != 1 || one.Stale {
-		t.Fatalf("ResolveOnce = %+v, %v; want fresh epoch-1 serve", one, err)
+	if st.Requests != 90 || st.Errors != 0 || st.Epochs != 1 {
+		t.Fatalf("serve stats %+v, want 90 clean requests on 1 epoch", st)
 	}
 	if _, ok := interface{}(srv).(*sim.Server); !ok {
 		t.Fatal("facade Server alias does not cover serve.Server")
