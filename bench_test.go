@@ -25,6 +25,7 @@ import (
 	"spacecdn/internal/lsn"
 	"spacecdn/internal/report"
 	"spacecdn/internal/routing"
+	"spacecdn/internal/serve"
 	"spacecdn/internal/spacecdn"
 	"spacecdn/internal/stats"
 	"spacecdn/internal/telemetry"
@@ -566,6 +567,52 @@ func BenchmarkResolveAllParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = sys.ResolveAll(reqs, snap, stats.NewRand(1), 0)
 	}
+}
+
+// BenchmarkResolveOnceParallel is the serving path's scaling pair without
+// the bench/ harness: `go test -bench ResolveOnce -cpu 1,2` prints ns/op of
+// Server.ResolveOnce on a pinned static epoch, telemetry attached, with one
+// and with two request goroutines (each on its own Scratch and its own
+// stride of the hot/warm/cold stream). ns/op is wall time over all
+// goroutines' requests, so a second core that is worth a second core halves
+// it. Printed, never gated — the measured numbers are bench/'s.
+func BenchmarkResolveOnceParallel(b *testing.B) {
+	c := benchConstellation(b)
+	m := lsn.NewModel(c, groundseg.NewCatalog(), lsn.DefaultConfig())
+	sys, err := spacecdn.NewSystem(spacecdn.DefaultConfig(), c, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(sys, serve.Config{Seed: 1, TraceSample: 0.01})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	wl, err := srv.PlaceWorkload(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The warm-up pass also drops the cities Shell 1 does not cover.
+	var reqs []spacecdn.Request
+	warm := srv.AcquireScratch()
+	for _, r := range wl.Log(3 * len(wl.Cities)) {
+		if _, err := srv.ResolveOnce(r, warm); err == nil {
+			reqs = append(reqs, r)
+		}
+	}
+	srv.ReleaseScratch(warm)
+	var worker atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		sc := srv.AcquireScratch()
+		defer srv.ReleaseScratch(sc)
+		for i := int(worker.Add(1)) * 7; pb.Next(); i++ {
+			if _, err := srv.ResolveOnce(reqs[i%len(reqs)], sc); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // The workload experiment end to end, sequential vs pooled: the same rows

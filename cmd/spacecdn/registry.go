@@ -567,10 +567,10 @@ func runScaleBench(w io.Writer, s *experiments.Suite, opts options) error {
 		return report.WriteJSON(w, res)
 	}
 	t := report.NewTable("Mega-constellation scale sweep",
-		"Config", "Sats", "Shells", "Grid", "Memo cap", "Snapshot ms", "Sweep steps/s", "Allocs/step", "Resolve req/s")
+		"Config", "Sats", "Shells", "Grid", "Snapshot ms", "Sweep steps/s", "Allocs/step", "Resolve req/s")
 	for _, p := range res.Points {
 		t.AddRow(p.Name, p.Sats, p.Shells, fmt.Sprintf("%dx%d", p.GridRows, p.GridCols),
-			p.MemoCap, p.SnapshotBuildMs, p.SweepStepsPerSec, p.SweepAllocsPerStep, p.ResolveReqPerSec)
+			p.SnapshotBuildMs, p.SweepStepsPerSec, p.SweepAllocsPerStep, p.ResolveReqPerSec)
 	}
 	if err := t.Render(w); err != nil {
 		return err

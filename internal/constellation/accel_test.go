@@ -212,49 +212,6 @@ func TestPathTreeMemo(t *testing.T) {
 	}
 }
 
-func TestPathTreeMemoEviction(t *testing.T) {
-	cfg := DefaultConfig()
-	c := MustNew(cfg)
-	snap := c.Snapshot(0)
-	// The scaled capacity is max(pathMemoCap, N) = 1,584 at the default
-	// scale. Fill past it; the memo must stay bounded and keep serving
-	// correct trees. The fill needs more distinct sources than satellites,
-	// so roll the memo generation to mint extra keys for the overflow.
-	capacity := c.memoCap
-	if capacity != c.Total() {
-		t.Fatalf("memo capacity = %d, want satellite count %d", capacity, c.Total())
-	}
-	for i := 0; i < capacity; i++ {
-		if snap.PathTree(SatID(i)) == nil {
-			t.Fatalf("tree %d is nil", i)
-		}
-	}
-	snap.memoGen++ // retire the old keys, as a sweep step would
-	for i := 0; i < 32; i++ {
-		if snap.PathTree(SatID(i)) == nil {
-			t.Fatalf("post-roll tree %d is nil", i)
-		}
-	}
-	if n := len(snap.memo.nodes); n != capacity {
-		t.Fatalf("memo holds %d entries, want cap %d", n, capacity)
-	}
-	// The most recent sources are still memoized (pointer-equal on re-query).
-	hot := snap.PathTree(31)
-	if again := snap.PathTree(31); again != hot {
-		t.Fatal("recently used tree was evicted")
-	}
-	snap.memoGen--
-	// The oldest source was evicted: a re-query recomputes (equal values,
-	// distinct pointer is acceptable — just verify correctness).
-	tr := snap.PathTree(0)
-	dist := snap.ISLGraph().ShortestPathsFrom(0)
-	for n := 0; n < len(dist); n++ {
-		if tr.Dist(routing.NodeID(n)) != dist[n] {
-			t.Fatalf("recomputed tree wrong at node %d", n)
-		}
-	}
-}
-
 func TestPathTreeZeroAllocOnHit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")

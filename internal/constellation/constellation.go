@@ -12,11 +12,11 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spacecdn/internal/geo"
 	"spacecdn/internal/orbit"
+	"spacecdn/internal/parallel"
 	"spacecdn/internal/routing"
 )
 
@@ -107,9 +107,8 @@ type Constellation struct {
 
 	maxSlantKm float64   // slant range at the mask for the highest shell
 	geom       *gridGeom // visibility-grid geometry sized to the satellite count
-	memoCap    int       // per-snapshot path-memo capacity, scaled with size
 
-	memoHits, memoMisses atomic.Int64 // path-memo effectiveness, per constellation
+	memoHits, memoMisses parallel.Striped // path-tree table effectiveness, per constellation
 
 	topoOnce sync.Once
 	topo     *islTopology // time-invariant +grid CSR structure, built once
@@ -145,10 +144,6 @@ func New(cfg Config) (*Constellation, error) {
 	}
 	c.maxSlantKm = geo.SlantRangeKm(maxAlt, cfg.MinElevationDeg)
 	c.geom = newGridGeom(len(c.elements))
-	c.memoCap = len(c.elements)
-	if c.memoCap < pathMemoCap {
-		c.memoCap = pathMemoCap
-	}
 	c.eng = newPosEngine(c.elements)
 	return c, nil
 }
@@ -187,10 +182,6 @@ func (c *Constellation) ShellOf(id SatID) int { return c.shellOf(id) }
 // chose for this constellation's satellite count. Diagnostic — the
 // scale-bench experiment prints it and TestScaleBench pins it.
 func (c *Constellation) GridDims() (rows, cols int) { return c.geom.rows, c.geom.cols }
-
-// PathMemoCap reports the per-snapshot path-memo capacity, which scales with
-// the satellite count so mega-constellation sweeps keep their hit rate.
-func (c *Constellation) PathMemoCap() int { return c.memoCap }
 
 // shellOf locates id's shell by a reverse linear scan over the (at most a
 // handful of) spans — faster than binary search at realistic shell counts
@@ -257,9 +248,7 @@ func (c *Constellation) Elements(id SatID) orbit.Elements { return c.elements[id
 func (c *Constellation) Snapshot(t time.Duration) *Snapshot {
 	pos := make([]geo.Vec3, len(c.elements))
 	c.eng.positionsInto(t, pos)
-	s := &Snapshot{c: c, t: t, pos: pos}
-	s.memo.cap = c.memoCap
-	return s
+	return &Snapshot{c: c, t: t, pos: pos}
 }
 
 // Snapshot is the constellation geometry frozen at one instant. It is
@@ -278,13 +267,12 @@ type Snapshot struct {
 	gridOnce sync.Once
 	grid     *visGrid // lat/lon cell index, built once on first visibility query
 
-	// memoGen distinguishes sweep steps in the path and ground-point memos: a
-	// sweep cursor mutates its snapshot in place and bumps the generation
-	// each advance, so path-memo keys become (source, step, fault epoch) and
-	// ground-point entries carry their step, without any per-step clearing.
-	// Always 0 for a fresh immutable snapshot.
+	// memoGen distinguishes sweep steps in the ground-point memo: a sweep
+	// cursor mutates its snapshot in place and bumps the generation each
+	// advance, and ground-point entries carry their step, so the memo needs
+	// no per-step clearing. Always 0 for a fresh immutable snapshot.
 	memoGen uint32
-	memo    pathMemo // per-snapshot shortest-path trees, keyed (source, generation, fault epoch)
+	trees   pathTrees // shortest-path trees over the healthy graph, one slot per source
 
 	maskMu sync.Mutex
 	masked map[uint64]*MaskedView // fault epoch -> cached fault-aware view
@@ -294,24 +282,15 @@ type Snapshot struct {
 	// and every request starts by asking which satellite is overhead, and the
 	// ground stage asks for the same stations' lists thousands of times per
 	// snapshot. Lock-free, allocated on first use, retired by sweep
-	// generation like the path memo — see groundmemo.go.
+	// generation — see groundmemo.go.
 	ground groundMemo
-}
-
-// memoEpoch composes the snapshot's sweep generation with a fault epoch into
-// one memo key component. Fault epochs are outage-interval indices and stay
-// far below 2^32 for any realistic plan; the top bits carry the generation so
-// trees settled over a previous sweep step can never be served after the
-// positions moved. For a fresh snapshot (generation 0) the key equals the
-// fault epoch, preserving the epoch-0-is-healthy convention.
-func (s *Snapshot) memoEpoch(faultEpoch uint64) uint64 {
-	return uint64(s.memoGen)<<32 | (faultEpoch & (1<<32 - 1))
 }
 
 // clearMasked drops every cached fault-aware view; the sweep cursor calls it
 // on advance because masked views cache ISL graphs whose weights would
-// otherwise go stale. Deleting in place keeps the map's storage, so the
-// steady-state sweep step stays allocation-free.
+// otherwise go stale — and, with each view, the path trees rooted in its
+// graph. Deleting in place keeps the map's storage, so the steady-state
+// sweep step stays allocation-free.
 func (s *Snapshot) clearMasked() {
 	s.maskMu.Lock()
 	for k := range s.masked {

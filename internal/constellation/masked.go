@@ -26,9 +26,9 @@ func NormalizedLink(a, b SatID) LinkID {
 // MaskedView is a fault-aware view of a Snapshot: the same geometry with a
 // set of satellites and ISLs removed. Visibility queries skip dead
 // satellites, the ISL graph drops every edge touching one (and every
-// explicitly failed link), and path trees are memoized in the snapshot's
-// memo under the view's fault epoch, so degraded routing never corrupts —
-// or collides with — the healthy entries at epoch 0.
+// explicitly failed link), and path trees are kept in the view's own table,
+// so degraded routing never corrupts — or collides with — the snapshot's
+// healthy trees, and dies with the view.
 //
 // Views are cached per epoch on the snapshot and shared by all callers, so
 // per-request resolution reuses one masked graph build per (snapshot, fault
@@ -41,6 +41,7 @@ type MaskedView struct {
 
 	islOnce  sync.Once
 	islGraph *routing.Graph
+	trees    pathTrees // trees over the masked graph; unused by a pass-through view
 }
 
 // Masked returns the fault-aware view of this snapshot for the given fault
@@ -48,9 +49,9 @@ type MaskedView struct {
 // the cached view, so callers must pass the same masks for the same epoch —
 // the epoch identifies a fault state, the masks describe it (faults.Plan
 // maintains exactly this invariant). Empty masks return a pass-through view
-// that shares the healthy graph and memo entries. A non-empty mask with
+// that shares the healthy graph and path trees. A non-empty mask with
 // epoch 0 is a caller bug — epoch 0 is reserved for the healthy topology —
-// and panics rather than silently poisoning the shared memo.
+// and panics rather than silently caching a degraded view under it.
 func (s *Snapshot) Masked(epoch uint64, deadSats routing.Bitset, deadLinks []LinkID) *MaskedView {
 	if !deadSats.Any() && len(deadLinks) == 0 {
 		epoch = 0
@@ -167,13 +168,16 @@ func (v *MaskedView) ISLGraph() *routing.Graph {
 }
 
 // PathTree returns the shortest-path tree over the masked ISL graph rooted
-// at src, memoized in the snapshot's epoch-keyed memo: every request routed
-// through the same uplink in the same fault state shares one tree, and
-// healthy trees (epoch 0) are never shadowed. Returns nil when src is
-// out of range or dead — a dead satellite roots no routes.
+// at src, from the view's table: every request routed through the same
+// uplink in the same fault state shares one tree. A pass-through view
+// serves the snapshot's healthy trees. Returns nil when src is out of range
+// or dead — a dead satellite roots no routes.
 func (v *MaskedView) PathTree(src SatID) *routing.SPTree {
 	if src < 0 || int(src) >= len(v.snap.pos) || !v.Alive(src) {
 		return nil
 	}
-	return v.snap.memoTree(v, src, v.epoch)
+	if v.epoch == 0 {
+		return v.snap.PathTree(src)
+	}
+	return v.trees.tree(v.snap.c, v, src)
 }

@@ -286,20 +286,6 @@ func TestAdaptiveGridSizing(t *testing.T) {
 	}
 }
 
-func TestPathMemoCapScalesWithSize(t *testing.T) {
-	small := MustNew(Config{
-		Walker:          orbit.Walker{AltitudeKm: 550, InclinationDeg: 53, Planes: 6, SatsPerPlane: 8},
-		MinElevationDeg: 25,
-	})
-	if small.memoCap != pathMemoCap {
-		t.Fatalf("small constellation memo cap %d, want floor %d", small.memoCap, pathMemoCap)
-	}
-	big := MustNew(StarlinkGen2Config())
-	if big.memoCap != big.Total() {
-		t.Fatalf("Gen2 memo cap %d, want %d", big.memoCap, big.Total())
-	}
-}
-
 func TestPerConstellationMemoCounters(t *testing.T) {
 	// Two constellations in one process must account their memo traffic
 	// independently — the gauge isolation the multi-shell experiments need.

@@ -37,10 +37,10 @@ type Cursor interface {
 // Positions are recomputed into the pooled SoA buffer, the visibility grid
 // migrates only the satellites that crossed a cell boundary, the ISL graph
 // (once materialized) has its edge weights refreshed in place over the
-// constellation's shared CSR topology, and the path memo survives across
-// steps keyed by (step generation, fault epoch). At steady state an advance
-// performs zero allocations, and every query against the advanced snapshot
-// returns results byte-identical to a fresh Snapshot(t).
+// constellation's shared CSR topology, and the path-tree table is emptied
+// in place. At steady state an advance performs zero allocations, and every
+// query against the advanced snapshot returns results byte-identical to a
+// fresh Snapshot(t).
 //
 // The snapshot returned by At/Advance/AdvanceTo is only valid until the next
 // advance or Close: a sweep trades the immutability of fresh snapshots for
@@ -50,7 +50,7 @@ type Cursor interface {
 // The same holds for anything obtained from that snapshot, path trees above
 // all: a routing.SPTree settles on demand over the graph whose weights the
 // advance rewrites, so a tree is good for the step it was rooted in and must
-// not be queried after it (the memo never serves one across an advance).
+// not be queried after it (the table never serves one across an advance).
 type Sweep struct {
 	c      *Constellation
 	step   time.Duration
@@ -68,7 +68,6 @@ func (c *Constellation) Sweep(start, step time.Duration) *Sweep {
 		n := len(c.elements)
 		w = &Sweep{c: c}
 		w.snap = &Snapshot{c: c, pos: make([]geo.Vec3, n)}
-		w.snap.memo.cap = c.memoCap
 		w.snap.grid = newSweepGrid(c)
 		w.snap.gridOnce.Do(func() {}) // the grid is owned, never lazily built
 	}
@@ -84,10 +83,11 @@ func (c *Constellation) Sweep(start, step time.Duration) *Sweep {
 		s.refreshISLWeights()
 	}
 	// The generation strictly increases across the cursor's whole pooled
-	// lifetime (never reset), so memo entries from an earlier sweep can
-	// never collide with the new one. Fresh snapshots are generation 0;
+	// lifetime (never reset), so ground-memo entries from an earlier sweep
+	// can never collide with the new one. Fresh snapshots are generation 0;
 	// sweep snapshots always advance past it.
 	s.memoGen++
+	s.trees.retire()
 	s.clearMasked()
 	return w
 }
@@ -112,8 +112,9 @@ func (w *Sweep) Advance() *Snapshot {
 // AdvanceTo moves the cursor to time t (at or after the current time) and
 // returns the snapshot there. The update is O(what moved): full position
 // recompute into the pooled buffer (pure arithmetic on the SoA basis), grid
-// migration for boundary crossers only, in-place ISL weight refresh, and a
-// generation bump that retires stale memo entries without touching them.
+// migration for boundary crossers only, in-place ISL weight refresh, a
+// generation bump that retires stale ground-memo entries without touching
+// them, and a clear of the path-tree table.
 func (w *Sweep) AdvanceTo(t time.Duration) *Snapshot {
 	if w.closed {
 		panic("constellation: use of a closed Sweep")
@@ -132,6 +133,7 @@ func (w *Sweep) AdvanceTo(t time.Duration) *Snapshot {
 		s.refreshISLWeights()
 	}
 	s.memoGen++
+	s.trees.retire()
 	s.clearMasked()
 	return s
 }

@@ -27,7 +27,6 @@ type ScalePoint struct {
 	// Data-structure shapes chosen by the scale-adaptive sizing rules.
 	GridRows int
 	GridCols int
-	MemoCap  int
 
 	SnapshotBuildMs    float64 // fresh snapshot with grid + ISL graph materialized
 	SweepStepsPerSec   float64 // warm incremental cursor, 15 s steps
@@ -132,7 +131,7 @@ func (s *Suite) scalePoint(sc scaleConfig) (ScalePoint, error) {
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	pt := ScalePoint{Name: sc.name, Sats: c.Total(), Shells: c.ShellCount(), MemoCap: c.PathMemoCap()}
+	pt := ScalePoint{Name: sc.name, Sats: c.Total(), Shells: c.ShellCount()}
 	pt.GridRows, pt.GridCols = c.GridDims()
 
 	probe := geo.Point{LatDeg: 47.6, LonDeg: -122.3} // any mid-latitude ground point

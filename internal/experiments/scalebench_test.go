@@ -12,11 +12,11 @@ func TestScaleBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []struct {
-		name                              string
-		sats, shells, rows, cols, memoCap int
+		name                     string
+		sats, shells, rows, cols int
 	}{
-		{"shell1", 1584, 1, 18, 36, 1584},
-		{"shell1+kuiper", 4820, 4, 25, 50, 4820},
+		{"shell1", 1584, 1, 18, 36},
+		{"shell1+kuiper", 4820, 4, 25, 50},
 	}
 	if len(res.Points) != len(want) {
 		t.Fatalf("fast sweep has %d points, want %d", len(res.Points), len(want))
@@ -24,7 +24,7 @@ func TestScaleBench(t *testing.T) {
 	for i, w := range want {
 		p := res.Points[i]
 		if p.Name != w.name || p.Sats != w.sats || p.Shells != w.shells ||
-			p.GridRows != w.rows || p.GridCols != w.cols || p.MemoCap != w.memoCap {
+			p.GridRows != w.rows || p.GridCols != w.cols {
 			t.Errorf("point %d = %+v, want %+v", i, p, w)
 		}
 		if p.Requests == 0 || p.SnapshotBuildMs <= 0 || p.SweepStepsPerSec <= 0 || p.ResolveReqPerSec <= 0 {

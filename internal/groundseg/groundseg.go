@@ -157,8 +157,8 @@ type Catalog struct {
 	pops     []PoP
 	popIdx   map[string]int
 	stations []GroundStation
-	byPoP    map[string][]int  // PoP name -> station indices
-	assign   map[string]string // ISO2 -> PoP name
+	byPoP    map[string][]GroundStation // PoP name -> its stations, in catalog order
+	assign   map[string]string          // ISO2 -> PoP name
 }
 
 // Option customizes a Catalog under construction.
@@ -196,7 +196,7 @@ func NewCatalog(opts ...Option) *Catalog {
 	c := &Catalog{
 		pops:   append([]PoP(nil), pops...),
 		popIdx: make(map[string]int, len(pops)),
-		byPoP:  make(map[string][]int),
+		byPoP:  make(map[string][]GroundStation),
 		assign: make(map[string]string, len(countryPoP)),
 	}
 	for i, p := range c.pops {
@@ -221,7 +221,7 @@ func NewCatalog(opts ...Option) *Catalog {
 }
 
 func (c *Catalog) addStation(gs GroundStation) {
-	c.byPoP[gs.PoP] = append(c.byPoP[gs.PoP], len(c.stations))
+	c.byPoP[gs.PoP] = append(c.byPoP[gs.PoP], gs)
 	c.stations = append(c.stations, gs)
 }
 
@@ -285,14 +285,11 @@ func (c *Catalog) AssignPoPForClient(iso2 string, loc geo.Point) (PoP, bool) {
 	return c.AssignPoP(iso2)
 }
 
-// StationsForPoP returns the ground stations homed on a PoP.
+// StationsForPoP returns the ground stations homed on a PoP. The slice is
+// the catalog's own, built once at construction and shared by every caller
+// (the ground stage asks on every request): treat it as read-only.
 func (c *Catalog) StationsForPoP(name string) []GroundStation {
-	idx := c.byPoP[strings.ToLower(name)]
-	out := make([]GroundStation, len(idx))
-	for i, j := range idx {
-		out[i] = c.stations[j]
-	}
-	return out
+	return c.byPoP[strings.ToLower(name)]
 }
 
 // NearestStationForPoP returns, among the ground stations homed on the given
@@ -300,19 +297,19 @@ func (c *Catalog) StationsForPoP(name string) []GroundStation {
 // bent-pipe traffic that must egress at that specific PoP. ok is false for an
 // unknown PoP.
 func (c *Catalog) NearestStationForPoP(name string, ref geo.Point) (GroundStation, bool) {
-	idx := c.byPoP[strings.ToLower(name)]
-	if len(idx) == 0 {
+	stations := c.byPoP[strings.ToLower(name)]
+	if len(stations) == 0 {
 		return GroundStation{}, false
 	}
-	best := idx[0]
+	best := 0
 	bestD := math.Inf(1)
-	for _, j := range idx {
-		if d := geo.HaversineKm(ref, c.stations[j].Loc); d < bestD {
+	for i := range stations {
+		if d := geo.HaversineKm(ref, stations[i].Loc); d < bestD {
 			bestD = d
-			best = j
+			best = i
 		}
 	}
-	return c.stations[best], true
+	return stations[best], true
 }
 
 // CountriesServed returns the ISO codes with an explicit PoP assignment,

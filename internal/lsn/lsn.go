@@ -206,7 +206,10 @@ func (m *Model) resolvePathVia(snap topology, client geo.Point, pop groundseg.Po
 		vis     []constellation.VisibleSat
 		fiber   time.Duration
 	}
-	gss := make([]gsInfo, 0, len(stations))
+	// A PoP homes a handful of stations (three at most in the embedded
+	// catalog), so the per-request list lives on the stack.
+	var gssBuf [8]gsInfo
+	gss := gssBuf[:0]
 	for i := range stations {
 		vis := snap.VisibleShared(stations[i].Loc)
 		if len(vis) == 0 {

@@ -88,11 +88,7 @@ func (g *Graph) NearestInSet(src NodeID, maxHops int, members, active Bitset) (H
 	inSet := func(n int32) bool {
 		return members.Test(int(n)) && (active == nil || active.Test(int(n)))
 	}
-	start := time.Now()
-	defer func() {
-		ops.bfsSearches.Add(1)
-		ops.bfsNanos.Add(int64(time.Since(start)))
-	}()
+	defer bfsDone(time.Now())
 	if inSet(int32(src)) {
 		return HopResult{Node: src, Hops: 0}, true
 	}

@@ -7,20 +7,32 @@ package routing
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
+
+	"spacecdn/internal/parallel"
 )
 
 // Process-wide operation counters. Graphs are rebuilt per snapshot and
 // shared across systems, so per-graph instrumentation would either miss
-// rebuilds or double count; instead the package keeps cheap atomic tallies
-// that telemetry collectors export as gauges. The per-op overhead is two
-// clock reads against algorithms that traverse the whole constellation.
+// rebuilds or double count; instead the package keeps exact tallies that
+// telemetry collectors export as gauges. Every request on every core adds to
+// them, so they are striped: an operation adds to the slot its P's hint
+// selects (parallel.StripeHint — a search owns no per-goroutine state to
+// take an index from) and Counters sums the slots. The per-op overhead is
+// two clock reads, the hint and two uncontended adds; a resumed SPTree pays
+// them only when it actually settles nodes.
 var ops struct {
-	dijkstras     atomic.Int64
-	dijkstraNanos atomic.Int64
-	bfsSearches   atomic.Int64
-	bfsNanos      atomic.Int64
+	dijkstras     parallel.Striped
+	dijkstraNanos parallel.Striped
+	bfsSearches   parallel.Striped
+	bfsNanos      parallel.Striped
+}
+
+// bfsDone accounts one bounded-hop search begun at start.
+func bfsDone(start time.Time) {
+	stripe := parallel.StripeHint()
+	ops.bfsSearches.Add(stripe, 1)
+	ops.bfsNanos.Add(stripe, int64(time.Since(start)))
 }
 
 // OpStats is a snapshot of the package-wide path-computation counters.
@@ -47,10 +59,10 @@ func Counters() OpStats {
 
 // ResetCounters zeroes the op counters (test isolation).
 func ResetCounters() {
-	ops.dijkstras.Store(0)
-	ops.dijkstraNanos.Store(0)
-	ops.bfsSearches.Store(0)
-	ops.bfsNanos.Store(0)
+	ops.dijkstras.Reset()
+	ops.dijkstraNanos.Reset()
+	ops.bfsSearches.Reset()
+	ops.bfsNanos.Reset()
 }
 
 // NodeID identifies a vertex. Satellite graphs use dense indices, so the
@@ -190,8 +202,9 @@ func (g *Graph) ShortestPathsFrom(src NodeID) []float64 {
 func (g *Graph) runDijkstra(sc *scratch, src, stopAt NodeID) {
 	start := time.Now()
 	defer func() {
-		ops.dijkstras.Add(1)
-		ops.dijkstraNanos.Add(int64(time.Since(start)))
+		stripe := parallel.StripeHint()
+		ops.dijkstras.Add(stripe, 1)
+		ops.dijkstraNanos.Add(stripe, int64(time.Since(start)))
 	}()
 	sc.mark(int32(src), 0, -1)
 	sc.heap.push(int32(src), 0)
@@ -245,11 +258,7 @@ func (g *Graph) WithinHops(src NodeID, maxHops int) []HopResult {
 	if src < 0 || int(src) >= len(g.adj) || maxHops < 0 {
 		return nil
 	}
-	start := time.Now()
-	defer func() {
-		ops.bfsSearches.Add(1)
-		ops.bfsNanos.Add(int64(time.Since(start)))
-	}()
+	defer bfsDone(time.Now())
 	sc := getScratch(len(g.adj))
 	defer putScratch(sc)
 	sc.mark(int32(src), 0, -1)
@@ -280,11 +289,7 @@ func (g *Graph) NearestMatch(src NodeID, maxHops int, match func(NodeID) bool) (
 	if src < 0 || int(src) >= len(g.adj) || maxHops < 0 || match == nil {
 		return HopResult{}, false
 	}
-	start := time.Now()
-	defer func() {
-		ops.bfsSearches.Add(1)
-		ops.bfsNanos.Add(int64(time.Since(start)))
-	}()
+	defer bfsDone(time.Now())
 	if match(src) {
 		return HopResult{Node: src, Hops: 0}, true
 	}

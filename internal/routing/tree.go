@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"spacecdn/internal/parallel"
 )
 
 // SPTree is a single-source shortest-path tree that settles on demand: it
@@ -19,7 +21,13 @@ import (
 // A tree is the unit of sharing for per-snapshot memoization and is safe for
 // concurrent use. A node's settled bit is published atomically once its
 // distance and predecessor are final, so queries on settled nodes — the warm
-// case — take no lock; only resuming the search takes the tree's mutex.
+// case — take no lock. Nor do queries the search has already outrun: after
+// every locked resume the tree publishes its frontier, the least tentative
+// distance left in the heap. Dijkstra pops in non-decreasing order and pushes
+// nothing below what it popped, so the frontier only grows and a published
+// value stays a lower bound on every unsettled node for the tree's life; a
+// budget below it is refused without the mutex. Only a query that has to
+// move the search takes it.
 //
 // The tree reads edge weights from its graph as it goes, so it is valid only
 // while those weights stand: a tree rooted in a CSR graph must not be
@@ -30,6 +38,11 @@ type SPTree struct {
 	dist []float64 // final where settled; tentative or +Inf elsewhere
 	prev []int32   // -1 where no predecessor
 	done []atomic.Uint32
+
+	// frontier is math.Float64bits of the heap's least distance as of the
+	// last locked resume (+Inf once exhausted; the zero value is the source's
+	// own distance 0).
+	frontier atomic.Uint64
 
 	mu   sync.Mutex // guards heap and the unsettled part of dist/prev
 	heap spHeap     // nil once the search is exhausted
@@ -42,7 +55,7 @@ func (g *Graph) SPTreeFrom(src NodeID) *SPTree {
 	if src < 0 || int(src) >= n {
 		return nil
 	}
-	ops.dijkstras.Add(1)
+	ops.dijkstras.Add(parallel.StripeHint(), 1)
 	t := &SPTree{
 		g:    g,
 		src:  src,
@@ -82,7 +95,11 @@ func (t *SPTree) DistWithin(n NodeID, budget float64) (float64, bool) {
 	if n < 0 || int(n) >= len(t.dist) {
 		return math.Inf(1), false
 	}
-	if t.settled(int32(n)) || t.settle(int32(n), budget) {
+	// The frontier is read before the settled bit: a node still unsettled
+	// after the read lies at or beyond that frontier, whereas a frontier read
+	// afterwards could have moved past a node settled in between.
+	frontier := math.Float64frombits(t.frontier.Load())
+	if t.settled(int32(n)) || (frontier <= budget && t.settle(int32(n), budget)) {
 		if d := t.dist[n]; d <= budget && d < math.Inf(1) {
 			return d, true
 		}
@@ -100,7 +117,7 @@ func (t *SPTree) settle(n int32, budget float64) bool {
 		return true
 	}
 	if t.heap[0].dist > budget {
-		return false // ruled out by the frontier as it stands: no clock read
+		return false // the frontier moved past budget since the caller read it
 	}
 	start := time.Now()
 	for !t.settled(n) && t.heap[0].dist <= budget {
@@ -127,7 +144,12 @@ func (t *SPTree) settle(n int32, budget float64) bool {
 			t.heap, t.g = nil, nil
 		}
 	}
-	ops.dijkstraNanos.Add(int64(time.Since(start)))
+	frontier := math.Inf(1)
+	if len(t.heap) > 0 {
+		frontier = t.heap[0].dist
+	}
+	t.frontier.Store(math.Float64bits(frontier))
+	ops.dijkstraNanos.Add(parallel.StripeHint(), int64(time.Since(start)))
 	return t.settled(n)
 }
 

@@ -77,12 +77,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Scratch is the pooled per-request state: a private rng stream and a
-// response encode buffer. Acquire one per worker (or borrow per request)
-// and release it when done; a Scratch must not be used concurrently.
+// Scratch is the pooled per-request state: a private rng stream, a response
+// encode buffer and the telemetry stripe its requests count on (its stream
+// number, so workers holding different Scratches write different cache
+// lines). Acquire one per worker (or borrow per request) and release it when
+// done; a Scratch must not be used concurrently.
 type Scratch struct {
-	rng *stats.Rand
-	buf []byte
+	rng    *stats.Rand
+	buf    []byte
+	stripe int
 }
 
 // Result is one served request: the resolution plus the epoch it was
@@ -115,10 +118,9 @@ type Server struct {
 
 	objects map[content.ID]content.Object // HTTP lookup; frozen at Start
 
+	// The registry counters are the only request tallies: Stats reads them.
 	reqs, errs, stale, swaps *telemetry.Counter
 	latMs, swapMs            *telemetry.Histogram
-
-	served, errCount, staleCount atomic.Int64
 
 	// swapDurMs is a ring of the most recent swap durations; swapNext is the
 	// slot the next one overwrites once the ring is full.
@@ -161,13 +163,15 @@ func New(sys *spacecdn.System, cfg Config) (*Server, error) {
 		errs:    reg.Counter("serve_errors_total"),
 		stale:   reg.Counter("serve_stale_epoch_total"),
 		swaps:   reg.Counter("serve_epoch_swaps_total"),
-		latMs:   reg.Histogram("serve_request_latency_ms", telemetry.LatencyBucketsMs),
-		swapMs:  reg.Histogram("serve_epoch_swap_ms", telemetry.LatencyBucketsMs),
+		latMs:   reg.Histogram("serve_request_latency_ms", telemetry.WallBucketsMs),
+		swapMs:  reg.Histogram("serve_epoch_swap_ms", telemetry.WallBucketsMs),
 	}
 	s.scratch.New = func() any {
+		stream := s.streams.Add(1)
 		return &Scratch{
-			rng: stats.NewRand(mixStream(cfg.Seed, uint64(s.streams.Add(1)))),
-			buf: make([]byte, 0, 192),
+			rng:    stats.NewRand(mixStream(cfg.Seed, uint64(stream))),
+			buf:    make([]byte, 0, 192),
+			stripe: int(stream),
 		}
 	}
 	s.advance()
@@ -250,18 +254,15 @@ func (s *Server) ResolveOnce(req spacecdn.Request, sc *Scratch) (Result, error) 
 	res, err := s.sys.ResolveAt(ep, req.Client, req.ISO2, req.Obj, sc.rng)
 	r := Result{Res: res, Epoch: ep.Seq(), SimTime: ep.Time()}
 	if err != nil {
-		s.errCount.Add(1)
-		s.errs.Inc()
+		s.errs.AddAt(sc.stripe, 1)
 		return r, err
 	}
 	if ep.Seq() < s.seq.Load() {
 		r.Stale = true
-		s.staleCount.Add(1)
-		s.stale.Inc()
+		s.stale.AddAt(sc.stripe, 1)
 	}
-	s.served.Add(1)
-	s.reqs.Inc()
-	s.latMs.ObserveDuration(time.Since(begin))
+	s.reqs.AddAt(sc.stripe, 1)
+	s.latMs.ObserveAt(sc.stripe, float64(time.Since(begin))/float64(time.Millisecond))
 	return r, nil
 }
 
@@ -366,12 +367,14 @@ type Stats struct {
 	SwapP50Ms, SwapP99Ms float64
 }
 
-// Stats returns the serving counters.
+// Stats returns the serving counters — the registry's own, merged at read
+// (exact once requests quiesce), so servers sharing a telemetry bundle share
+// their request tallies.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Requests:    s.served.Load(),
-		Errors:      s.errCount.Load(),
-		StaleServed: s.staleCount.Load(),
+		Requests:    s.reqs.Value(),
+		Errors:      s.errs.Value(),
+		StaleServed: s.stale.Value(),
 		Epochs:      s.seq.Load(),
 	}
 	s.mu.Lock()

@@ -85,7 +85,7 @@ func (s *System) ResolveAll(reqs []Request, snap *constellation.Snapshot, rng *s
 			if intents != nil {
 				it = &intents[i]
 			}
-			res, err := s.resolveRecorded(&ep, &reqs[i], r, it)
+			res, err := s.resolveRecorded(&ep, &reqs[i], r, it, shard)
 			out[i] = BatchResult{Resolution: res, Err: err}
 		}
 		return nil

@@ -1,7 +1,6 @@
 package spacecdn
 
 import (
-	"sync/atomic"
 	"time"
 
 	"spacecdn/internal/cache"
@@ -45,8 +44,6 @@ type instruments struct {
 	// client's lat/lon cell — the where-in-orbit heatmap. Shared across every
 	// system wired to the same telemetry bundle.
 	spatial *telemetry.Spatial
-
-	seq atomic.Uint64 // request sequence for trace identity
 }
 
 // spatialSourceEvents maps a Source to its spatial event kind; the
@@ -213,35 +210,37 @@ func (s *System) Telemetry() *telemetry.Telemetry {
 }
 
 // record accounts one Resolve outcome: counters and histograms always, a
-// full trace only when the sink samples this request.
-func (in *instruments) record(res Resolution, err error, d *resolveDetail) {
-	seq := in.seq.Add(1)
+// full trace only when the sink samples this request. Every count lands on
+// the caller's stripe (see resolveRecorded), so concurrent resolvers write
+// no common cache line here except the sampler's arrival counter.
+func (in *instruments) record(stripe int, res Resolution, err error, d *resolveDetail) {
 	if d.degraded {
 		// Failovers count even when the request ultimately errors: the
 		// reroute attempt happened. They heat the client's cell (the region
 		// degraded service hit), not a satellite.
 		if d.uplinkFailover {
-			in.failovers[FailoverUplink].Inc()
+			in.failovers[FailoverUplink].AddAt(stripe, 1)
 			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
 		}
 		if d.replicaFailover {
-			in.failovers[FailoverReplica].Inc()
+			in.failovers[FailoverReplica].AddAt(stripe, 1)
 			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
 		}
 		if d.popFailover {
-			in.failovers[FailoverPoP].Inc()
+			in.failovers[FailoverPoP].AddAt(stripe, 1)
 			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
 		}
 	}
 	if err != nil {
-		in.errors.Inc()
+		in.errors.AddAt(stripe, 1)
 		return
 	}
+	rttMs := float64(res.RTT) / float64(time.Millisecond)
 	if d.degraded {
-		in.degradedSrc.Observe(float64(res.Source))
-		in.degradedRTT.ObserveDuration(res.RTT)
+		in.degradedSrc.ObserveAt(stripe, float64(res.Source))
+		in.degradedRTT.ObserveAt(stripe, rttMs)
 	}
-	in.requests[res.Source].Inc()
+	in.requests[res.Source].AddAt(stripe, 1)
 	ev := spatialSourceEvents[res.Source]
 	in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, ev)
 	if res.Source != SourceGround {
@@ -250,18 +249,17 @@ func (in *instruments) record(res Resolution, err error, d *resolveDetail) {
 		in.spatial.RecordSat(int(res.Sat), ev)
 		in.spatial.RecordSat(int(res.Sat), telemetry.SpatialCacheHit)
 	}
-	in.rttMs.ObserveDuration(res.RTT)
+	in.rttMs.ObserveAt(stripe, rttMs)
 	hops := res.Hops
 	if res.Source == SourceGround && d.hasGround {
 		hops = d.ground.ISLHops
 	}
-	in.hops.Observe(float64(hops))
+	in.hops.ObserveAt(stripe, float64(hops))
 
 	sink := in.tel.Traces()
-	if !sink.ShouldSample() {
-		return
+	if seq, ok := sink.Sample(); ok {
+		sink.Add(buildTrace(seq, res, d))
 	}
-	sink.Add(buildTrace(seq, res, d))
 }
 
 // buildTrace decomposes a resolution's RTT into typed spans. The spans sum

@@ -12,6 +12,7 @@ import (
 	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/lsn"
 	"spacecdn/internal/orbit"
+	"spacecdn/internal/parallel"
 	"spacecdn/internal/routing"
 	"spacecdn/internal/stats"
 )
@@ -112,24 +113,27 @@ func (s *System) Resolve(client geo.Point, iso2 string, obj content.Object, snap
 // stale-while-revalidate contract — or applies inline, un-coalesced.
 func (s *System) resolveApplied(ep *Epoch, req *Request, rng *stats.Rand, a *lcApplier) (Resolution, error) {
 	if s.lc == nil || !s.lc.Active() {
-		return s.resolveRecorded(ep, req, rng, nil)
+		return s.resolveRecorded(ep, req, rng, nil, -1)
 	}
 	if a != nil {
 		it := intentPool.Get().(*lcIntent)
-		res, err := s.resolveRecorded(ep, req, rng, it)
+		res, err := s.resolveRecorded(ep, req, rng, it, -1)
 		a.ch <- intentMsg{it: it, t: ep.Time()}
 		return res, err
 	}
 	var it lcIntent
-	res, err := s.resolveRecorded(ep, req, rng, &it)
+	res, err := s.resolveRecorded(ep, req, rng, &it, -1)
 	s.applyLcIntent(&it, ep.Time(), nil)
 	return res, err
 }
 
 // resolveRecorded runs the pipeline and, when telemetry is attached, records
 // the outcome. The detail lives on this frame and is filled by assignment
-// only, so the detached path stays allocation-free.
-func (s *System) resolveRecorded(ep *Epoch, req *Request, rng *stats.Rand, it *lcIntent) (Resolution, error) {
+// only, so the detached path stays allocation-free. stripe is the telemetry
+// stripe the caller owns — ResolveAll passes its shard index — or negative
+// when it owns none (Resolve and ResolveAt, whose signatures carry only the
+// rng): then one per-P hint is drawn here and serves the whole request.
+func (s *System) resolveRecorded(ep *Epoch, req *Request, rng *stats.Rand, it *lcIntent, stripe int) (Resolution, error) {
 	in := s.inst
 	if in == nil {
 		return s.resolveStaged(ep, req, rng, nil, it)
@@ -137,7 +141,10 @@ func (s *System) resolveRecorded(ep *Epoch, req *Request, rng *stats.Rand, it *l
 	var d resolveDetail
 	d.client = req.Client
 	res, err := s.resolveStaged(ep, req, rng, &d, it)
-	in.record(res, err, &d)
+	if stripe < 0 {
+		stripe = parallel.StripeHint()
+	}
+	in.record(stripe, res, err, &d)
 	return res, err
 }
 

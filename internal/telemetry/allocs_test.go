@@ -19,12 +19,12 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		c.Add(2)
 		g.Set(1.5)
 		h.Observe(3)
-		h.ObserveDuration(time.Millisecond)
+		h.Observe(1)
 		sc.Tick(time.Minute)
 		sc.RecordStep(0, time.Minute, time.Millisecond)
 		sp.RecordSat(3, SpatialISL)
 		sp.RecordCell(10, 20, SpatialGround)
-		if sink.ShouldSample() {
+		if _, ok := sink.Sample(); ok {
 			t.Fatal("nil sink sampled")
 		}
 	}); n != 0 {
@@ -65,12 +65,12 @@ func TestEnabledUnsampledPathZeroAllocs(t *testing.T) {
 	g := r.Gauge("depth")
 	h := r.Histogram("lat_ms", LatencyBucketsMs)
 	sink := NewTraceSink(0.0001, 8)
-	sink.ShouldSample() // consume the always-sampled first request
+	sink.Sample() // consume the always-sampled first request
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(4)
 		h.Observe(12.5)
-		if sink.ShouldSample() {
+		if _, ok := sink.Sample(); ok {
 			t.Fatal("unexpected sample inside measured window")
 		}
 	}); n != 0 {

@@ -120,20 +120,19 @@ func (r *Registry) Snapshot() Snapshot {
 				Name: mk.key.name, Labels: labels, Value: r.gauges[mk.key].Value(),
 			})
 		case 2:
+			// One merged read feeds the count, the buckets and the quantiles,
+			// so they agree with each other even while observers run.
 			h := r.hists[mk.key]
+			counts := h.buckets()
 			hv := HistogramValue{
-				Name: mk.key.name, Labels: labels,
-				Count: h.Count(), Sum: h.Sum(),
-				P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
+				Name: mk.key.name, Labels: labels, Sum: h.Sum(),
+				P50: quantileFromCounts(h.bounds, counts, 0.50),
+				P95: quantileFromCounts(h.bounds, counts, 0.95),
+				P99: quantileFromCounts(h.bounds, counts, 0.99),
 			}
-			cum := int64(0)
-			for i := range h.counts {
-				cum += h.counts[i].Load()
-				le := "+Inf"
-				if i < len(h.bounds) {
-					le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
-				}
-				hv.Buckets = append(hv.Buckets, BucketCount{LE: le, Count: cum})
+			for i, n := range counts {
+				hv.Count += n
+				hv.Buckets = append(hv.Buckets, BucketCount{LE: h.le(i), Count: hv.Count})
 			}
 			snap.Histograms = append(snap.Histograms, hv)
 		}
@@ -185,15 +184,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if err := typeLine(w, typed, name, "histogram"); err != nil {
 				return err
 			}
+			// _count is the last cumulative bucket of the same merged read, so
+			// a scrape racing observers still satisfies +Inf == _count.
 			h := r.hists[mk.key]
 			cum := int64(0)
-			for i := range h.counts {
-				cum += h.counts[i].Load()
-				le := "+Inf"
-				if i < len(h.bounds) {
-					le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
-				}
-				bl := fmt.Sprintf("le=%q", le)
+			for i, n := range h.buckets() {
+				cum += n
+				bl := fmt.Sprintf("le=%q", h.le(i))
 				if labels != "" {
 					bl = labels + "," + bl
 				}
@@ -204,12 +201,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "%s %v\n", seriesName(name+"_sum", labels), h.Sum()); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", labels), h.Count()); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", labels), cum); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// le renders bucket i's upper bound as an exposition label ("+Inf" for the
+// overflow bucket).
+func (h *Histogram) le(i int) string {
+	if i >= len(h.bounds) {
+		return "+Inf"
+	}
+	return strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
 }
 
 func typeLine(w io.Writer, typed map[string]bool, name, kind string) error {

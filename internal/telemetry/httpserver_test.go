@@ -107,7 +107,7 @@ func TestIntrospectionConcurrentScrapes(t *testing.T) {
 				sc.RecordStep(0, time.Second, time.Microsecond)
 				sp.RecordSat(i%16, SpatialISL)
 				sp.RecordCell(float64(i%90), float64(i%180), SpatialGround)
-				if tel.Traces().ShouldSample() {
+				if _, ok := tel.Traces().Sample(); ok {
 					tel.Traces().Add(RequestTrace{Seq: uint64(i), Source: "isl"})
 				}
 			}

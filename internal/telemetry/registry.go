@@ -7,13 +7,16 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"spacecdn/internal/parallel"
 )
 
-// Counter is a monotonically increasing metric. The zero value is ready to
-// use; a nil *Counter is a valid no-op receiver.
+// Counter is a monotonically increasing metric, striped so that cores
+// counting at once write different cache lines (parallel.Striped): Value sums
+// the stripes and is exact whichever stripe each Add hit. The zero value is
+// ready to use; a nil *Counter is a valid no-op receiver.
 type Counter struct {
-	v atomic.Int64
+	v parallel.Striped
 }
 
 // Inc adds one.
@@ -22,10 +25,17 @@ func (c *Counter) Inc() { c.Add(1) }
 // Add increases the counter by n (negative deltas are ignored — counters
 // only go up).
 func (c *Counter) Add(n int64) {
-	if c == nil || n < 0 {
-		return
+	if c != nil {
+		c.AddAt(parallel.StripeHint(), n)
 	}
-	c.v.Add(n)
+}
+
+// AddAt is Add for a caller that owns a stripe index — per-goroutine state
+// such as a serve.Scratch or a batch shard — and so skips the hint.
+func (c *Counter) AddAt(stripe int, n int64) {
+	if c != nil && n >= 0 {
+		c.v.Add(stripe, n)
+	}
 }
 
 // Value returns the current count.
@@ -55,9 +65,14 @@ func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
+	addFloat(&g.bits, delta)
+}
+
+// addFloat adds delta to the float64 whose bits the word holds.
+func addFloat(bits *atomic.Uint64, delta float64) {
 	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+		old := bits.Load()
+		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
 			return
 		}
 	}
@@ -73,9 +88,16 @@ func (g *Gauge) Value() float64 {
 
 // Default bucket bounds, chosen for the units this simulator measures in.
 var (
-	// LatencyBucketsMs spans client-observed RTTs: sub-millisecond ISL legs
-	// through bufferbloat-inflated sub-second round trips.
+	// LatencyBucketsMs spans client-observed (simulated) RTTs: sub-millisecond
+	// ISL legs through bufferbloat-inflated sub-second round trips.
 	LatencyBucketsMs = []float64{0.5, 1, 2.5, 5, 10, 15, 25, 40, 60, 80, 100, 150, 200, 300, 500, 1000}
+	// WallBucketsMs spans wall-clock timings of the program itself, in
+	// milliseconds: 1-2-5 steps from 1 µs (a served request is a few) to 1 s
+	// (an epoch build is tens of ms at mega-constellation scale).
+	WallBucketsMs = []float64{
+		0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
+		1, 2, 5, 10, 20, 50, 100, 200, 500, 1000,
+	}
 	// ComputeBucketsUs spans path-computation wall times (microseconds).
 	ComputeBucketsUs = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000}
 	// HopBuckets spans ISL hop counts.
@@ -85,11 +107,17 @@ var (
 // Histogram is a fixed-bucket histogram with an overflow bucket, tracking
 // count and sum for mean/rate math and estimating quantiles by linear
 // interpolation within buckets. A nil *Histogram is a valid no-op receiver.
+//
+// Like Counter it is striped: each stripe is a private run of words — one
+// count per bucket, then the bits of the stripe's float sum — so an Observe
+// writes two words of one stripe and nothing process-wide. Readers merge:
+// a bucket's count is its sum over stripes, Count the sum over buckets (there
+// is no separate total to drift from them), Sum the sum of the stripe sums.
+// Every word only grows, so successive reads never see a count go down.
 type Histogram struct {
-	bounds []float64 // ascending upper bounds; observations above fall in overflow
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    Gauge
+	bounds []float64       // ascending upper bounds; observations above fall in overflow
+	stride int             // words from one stripe to the next
+	cells  []atomic.Uint64 // parallel.Stripes runs of len(bounds)+1 counts and a sum
 }
 
 // NewHistogram creates a histogram with the given ascending bucket upper
@@ -105,11 +133,22 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	// Eight spare words (one cache line) after each stripe's used words keep
+	// two stripes off one line wherever the allocator aligns the slice.
+	stride := len(b) + 2 + 8
+	return &Histogram{bounds: b, stride: stride, cells: make([]atomic.Uint64, parallel.Stripes*stride)}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h != nil {
+		h.ObserveAt(parallel.StripeHint(), v)
+	}
+}
+
+// ObserveAt is Observe for a caller that owns a stripe index (see
+// Counter.AddAt).
+func (h *Histogram) ObserveAt(stripe int, v float64) {
 	if h == nil {
 		return
 	}
@@ -117,15 +156,21 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	base := int(uint(stripe)%parallel.Stripes) * h.stride
+	h.cells[base+i].Add(1)
+	addFloat(&h.cells[base+len(h.bounds)+1], v)
 }
 
-// ObserveDuration records a duration in milliseconds — the repo-wide report
-// unit for latencies.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(float64(d) / float64(time.Millisecond))
+// buckets returns the merged per-bucket counts: len(bounds) buckets plus the
+// overflow slot.
+func (h *Histogram) buckets() []int64 {
+	out := make([]int64, len(h.bounds)+1)
+	for s := 0; s < parallel.Stripes; s++ {
+		for i := range out {
+			out[i] += int64(h.cells[s*h.stride+i].Load())
+		}
+	}
+	return out
 }
 
 // Count returns the number of observations.
@@ -133,7 +178,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	total := int64(0)
+	for _, n := range h.buckets() {
+		total += n
+	}
+	return total
 }
 
 // Sum returns the sum of observed values.
@@ -141,7 +190,11 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Value()
+	sum := 0.0
+	for s := 0; s < parallel.Stripes; s++ {
+		sum += math.Float64frombits(h.cells[s*h.stride+len(h.bounds)+1].Load())
+	}
+	return sum
 }
 
 // Quantile estimates the q-quantile (0..1) by linear interpolation within
@@ -151,54 +204,13 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	cum := int64(0)
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= target {
-			return h.bucketPoint(i, cum, n, target)
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// bucketPoint interpolates a quantile target inside bucket i, given the
-// cumulative count before the bucket and the bucket's own count.
-func (h *Histogram) bucketPoint(i int, cum, n int64, target float64) float64 {
-	if i >= len(h.bounds) {
-		return h.bounds[len(h.bounds)-1]
-	}
-	lo := 0.0
-	if i > 0 {
-		lo = h.bounds[i-1]
-	}
-	hi := h.bounds[i]
-	frac := (target - float64(cum)) / float64(n)
-	if frac < 0 {
-		frac = 0
-	}
-	return lo + (hi-lo)*frac
+	return quantileFromCounts(h.bounds, h.buckets(), q)
 }
 
 // quantileFromCounts is Quantile over explicit per-bucket counts (len(bounds)
 // buckets plus one overflow slot) — the form the windowed series collector
 // uses on counter deltas, sharing the live histogram's interpolation exactly.
 func quantileFromCounts(bounds []float64, counts []int64, q float64) float64 {
-	h := Histogram{bounds: bounds}
 	total := int64(0)
 	for _, n := range counts {
 		total += n
@@ -206,20 +218,21 @@ func quantileFromCounts(bounds []float64, counts []int64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = math.Min(math.Max(q, 0), 1)
 	target := q * float64(total)
 	cum := int64(0)
 	for i, n := range counts {
 		if n == 0 {
 			continue
 		}
-		if float64(cum+n) >= target {
-			return h.bucketPoint(i, cum, n, target)
+		if float64(cum+n) >= target && i < len(bounds) {
+			// Interpolate inside bucket i, from the bound below it.
+			lo := 0.0
+			if i > 0 {
+				lo = bounds[i-1]
+			}
+			frac := math.Max((target-float64(cum))/float64(n), 0)
+			return lo + (bounds[i]-lo)*frac
 		}
 		cum += n
 	}

@@ -79,7 +79,7 @@ func TestHistogramOverflowAndEmpty(t *testing.T) {
 	if got := h.Quantile(0.5); got != 2 {
 		t.Errorf("overflow quantile = %v, want last finite bound 2", got)
 	}
-	h.ObserveDuration(1500 * time.Microsecond) // 1.5 ms -> second bucket
+	h.Observe(1.5) // 1.5 ms -> second bucket
 	if h.Count() != 2 {
 		t.Fatalf("count = %d", h.Count())
 	}
@@ -110,7 +110,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	h.ObserveDuration(time.Second)
+	h.Observe(1000)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil instruments must read zero")
 	}
@@ -124,7 +124,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	if tel.Registry() != nil || tel.Traces() != nil {
 		t.Error("nil telemetry must expose nil parts")
 	}
-	if sink.ShouldSample() {
+	if _, ok := sink.Sample(); ok {
 		t.Error("nil sink must never sample")
 	}
 	sink.Add(RequestTrace{})
@@ -150,7 +150,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				c.Inc()
 				h.Observe(float64(j % 100))
 				r.Gauge("depth").Set(float64(j))
-				if tel.Traces().ShouldSample() {
+				if _, ok := tel.Traces().Sample(); ok {
 					tel.Traces().Add(RequestTrace{Seq: uint64(j), Source: "a",
 						Spans: []Span{{Kind: SpanUplink, Dur: time.Millisecond}}})
 				}

@@ -118,11 +118,7 @@ func (r *Registry) captureSeries() seriesCapture {
 			c.counters[mk.key] = r.counters[mk.key].Value()
 		case 2:
 			h := r.hists[mk.key]
-			hc := histCapture{bounds: h.bounds, counts: make([]int64, len(h.counts)), sum: h.Sum()}
-			for i := range h.counts {
-				hc.counts[i] = h.counts[i].Load()
-			}
-			c.hists[mk.key] = hc
+			c.hists[mk.key] = histCapture{bounds: h.bounds, counts: h.buckets(), sum: h.Sum()}
 		}
 	}
 	return c

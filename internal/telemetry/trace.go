@@ -91,7 +91,7 @@ type Span struct {
 // durations sum to RTT exactly — the trace is a decomposition, not a
 // re-measurement.
 type RequestTrace struct {
-	// Seq is the request's sequence number in the emitting system.
+	// Seq is the request's arrival number at the trace sink (TraceSink.Sample).
 	Seq uint64 `json:"seq"`
 	// Source names where the request was served from (spacecdn.Source).
 	Source string `json:"source"`
@@ -150,14 +150,18 @@ func NewTraceSink(sampleRate float64, capacity int) *TraceSink {
 	return &TraceSink{stride: stride, ring: make([]RequestTrace, 0, capacity)}
 }
 
-// ShouldSample reports whether the caller should record a trace for the
-// request it is about to account, advancing the sampling counter. The first
-// request is always sampled when sampling is enabled.
-func (s *TraceSink) ShouldSample() bool {
+// Sample counts one arriving request and reports whether the caller should
+// record a trace for it, and under which sequence number: the request's
+// 1-based arrival rank at the sink, which therefore doubles as the trace
+// identity (one shared write per request, not a counter each). The first
+// request is always sampled when sampling is enabled; a disabled sink counts
+// nothing.
+func (s *TraceSink) Sample() (seq uint64, ok bool) {
 	if s == nil || s.stride == 0 {
-		return false
+		return 0, false
 	}
-	return (s.seen.Add(1)-1)%s.stride == 0
+	seq = s.seen.Add(1)
+	return seq, (seq-1)%s.stride == 0
 }
 
 // Add retains a trace, evicting the oldest when the ring is full.
@@ -189,7 +193,7 @@ func (s *TraceSink) Traces() []RequestTrace {
 	return out
 }
 
-// Seen returns how many requests passed through ShouldSample.
+// Seen returns how many requests passed through Sample.
 func (s *TraceSink) Seen() uint64 {
 	if s == nil {
 		return 0

@@ -73,7 +73,7 @@ func TestTraceSinkSamplingStride(t *testing.T) {
 	s := NewTraceSink(0.25, 100) // stride 4
 	sampled := 0
 	for i := 0; i < 100; i++ {
-		if s.ShouldSample() {
+		if _, ok := s.Sample(); ok {
 			sampled++
 			s.Add(RequestTrace{Seq: uint64(i)})
 		}
@@ -91,7 +91,7 @@ func TestTraceSinkSamplingStride(t *testing.T) {
 
 func TestTraceSinkFirstRequestSampled(t *testing.T) {
 	s := NewTraceSink(0.01, 10)
-	if !s.ShouldSample() {
+	if _, ok := s.Sample(); !ok {
 		t.Fatal("first request must be sampled so short runs still emit a trace")
 	}
 }
@@ -99,7 +99,7 @@ func TestTraceSinkFirstRequestSampled(t *testing.T) {
 func TestTraceSinkRingEviction(t *testing.T) {
 	s := NewTraceSink(1, 4)
 	for i := 0; i < 10; i++ {
-		if s.ShouldSample() {
+		if _, ok := s.Sample(); ok {
 			s.Add(RequestTrace{Seq: uint64(i)})
 		}
 	}
@@ -119,7 +119,7 @@ func TestTraceSinkRingEviction(t *testing.T) {
 
 func TestTraceSinkDisabled(t *testing.T) {
 	for _, s := range []*TraceSink{NewTraceSink(0, 10), NewTraceSink(-1, 10), NewTraceSink(0, 0)} {
-		if s.ShouldSample() {
+		if _, ok := s.Sample(); ok {
 			t.Error("disabled sink must not sample")
 		}
 		s.Add(RequestTrace{})
@@ -135,7 +135,7 @@ func TestTraceSinkDisabled(t *testing.T) {
 func TestTraceSinkCapacityClamp(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
 		s := NewTraceSink(1, capacity)
-		if !s.ShouldSample() {
+		if _, ok := s.Sample(); !ok {
 			t.Fatalf("capacity %d: sampling-enabled sink must sample", capacity)
 		}
 		s.Add(RequestTrace{Seq: 1})

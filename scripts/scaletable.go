@@ -21,7 +21,6 @@ type point struct {
 	Sats               int
 	Shells             int
 	GridRows, GridCols int
-	MemoCap            int
 	SnapshotBuildMs    float64
 	SweepStepsPerSec   float64
 	SweepAllocsPerStep float64

@@ -9,12 +9,14 @@
 #   vet    go vet
 #   build  go build
 #   test   go test
-#   race   go test -race, then the lock-free ground-point memo's tests again
-#          at -count=5 -cpu 1,2,4: a CAS-published table is exactly the code
-#          one -race pass at one GOMAXPROCS can miss; then the resolve entry
-#          points' schedule-sensitive tests at -count=3 -cpu 1,2,4: Resolve,
-#          ResolveAt (inline and applier) and ResolveAll share one pipeline
-#          body, so it should see more than one GOMAXPROCS too
+#   race   go test -race, then the lock-free pieces' tests again at -count=5
+#          -cpu 1,2,4 — the ground-point memo, and the path-tree table, the
+#          SPTree frontier rule-out and the striped counters/histograms of
+#          the shared-nothing read path: a CAS-published table is exactly the
+#          code one -race pass at one GOMAXPROCS can miss; then the resolve
+#          entry points' schedule-sensitive tests at -count=3 -cpu 1,2,4:
+#          Resolve, ResolveAt (inline and applier) and ResolveAll share one
+#          pipeline body, so it should see more than one GOMAXPROCS too
 #   benchmod  vet and test the repository benchmark (bench/), a nested module
 #          the root `go test ./...` never sees
 #   smoke  CLI run asserting the telemetry artifact parses with non-zero
@@ -82,6 +84,8 @@ stage_test() {
 stage_race() {
 	go test -race ./...
 	go test -race -count=5 -cpu 1,2,4 -run 'Visib|GroundMemo' ./internal/constellation
+	go test -race -count=5 -cpu 1,2,4 -run 'PathTree|SPTree|LazyTreeConcurrent|Striped|Histogram|Counter' \
+		./internal/routing ./internal/constellation ./internal/telemetry ./internal/parallel
 	go test -race -count=3 -cpu 1,2,4 -run 'ResolveAt|Lifecycle|Applier|Stress' ./internal/spacecdn ./internal/serve
 }
 
