@@ -19,9 +19,15 @@
 // further into sim time; requests pin epochs with one atomic load and are
 // never blocked by the swap.
 //
-// The daemon serves until SIGINT/SIGTERM, then drains, exports and exits 0
-// — the verify.sh serve stage boots the built binary, drives it over real
-// sockets and signals it.
+// Keep-alive GET /resolve requests over HTTP/1.1 are parsed, resolved and
+// answered on the connection by the daemon's own loop; every other request
+// hands its connection to net/http, which serves the rest of the surface
+// unchanged (DESIGN.md §16).
+//
+// The daemon serves until SIGINT/SIGTERM, then drains — idle connections
+// close at once, requests in flight get the shutdown deadline — exports and
+// exits 0. The verify.sh serve stage boots the built binary, drives /resolve
+// and /metrics over real sockets and signals it.
 //
 // -metrics-out writes the accumulated telemetry on shutdown (Prometheus
 // text for .prom/.txt files, a JSON snapshot otherwise — the format

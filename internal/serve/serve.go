@@ -23,6 +23,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -128,13 +129,20 @@ type Server struct {
 	swapDurMs []float64
 	swapNext  int
 
-	ln          net.Listener
-	hsrv        *http.Server
+	// connWG counts every connection goroutine, fast loop or net/http.
+	ln         net.Listener
+	acceptDone chan struct{}
+	connMu     sync.Mutex
+	conns      map[*fastConn]struct{}
+	connWG     sync.WaitGroup
+	handoff    *handoff
+	hsrv       *http.Server
+
 	sweepStop   chan struct{}
 	sweepDone   chan struct{}
 	applierStop func()
-	started     bool
-	closed      bool
+	started     atomic.Bool
+	closeOnce   sync.Once
 }
 
 // New builds a server over a deployed system and publishes the initial
@@ -270,10 +278,9 @@ func (s *Server) ResolveOnce(req spacecdn.Request, sc *Scratch) (Result, error) 
 // lifecycle applier (when the system has a lifecycle manager), and the
 // HTTP listener (when Addr is set).
 func (s *Server) Start() error {
-	if s.started {
+	if !s.started.CompareAndSwap(false, true) {
 		return fmt.Errorf("serve: already started")
 	}
-	s.started = true
 	if s.sys.Lifecycle() != nil {
 		s.applierStop = s.sys.StartLifecycleApplier(0)
 	}
@@ -288,12 +295,27 @@ func (s *Server) Start() error {
 			return fmt.Errorf("serve: listen %s: %w", s.cfg.Addr, err)
 		}
 		s.ln = ln
-		s.hsrv = &http.Server{Handler: s.handler()}
+		s.acceptDone = make(chan struct{})
+		s.conns = make(map[*fastConn]struct{})
+		s.handoff = &handoff{addr: ln.Addr(), conns: make(chan net.Conn), done: make(chan struct{})}
+		s.hsrv = &http.Server{
+			Handler:           s.handler(),
+			ReadHeaderTimeout: readHeaderTimeout,
+			MaxHeaderBytes:    maxHeaderBytes,
+			// A handed-over connection holds its connWG slot until net/http's
+			// goroutine for it, handler included, has finished.
+			ConnState: func(_ net.Conn, st http.ConnState) {
+				if st == http.StateClosed || st == http.StateHijacked {
+					s.connWG.Done()
+				}
+			},
+		}
 		go func() {
 			// ErrServerClosed is the normal Shutdown path; anything else
 			// already went through http.Server's own error logging.
-			_ = s.hsrv.Serve(ln)
+			_ = s.hsrv.Serve(s.handoff)
 		}()
+		go s.acceptLoop()
 	}
 	return nil
 }
@@ -320,30 +342,32 @@ func (s *Server) sweepLoop() {
 	}
 }
 
-// Close shuts the daemon down in dependency order: drain in-flight HTTP
-// requests (bounded by ShutdownTimeout), stop the sweeper, then stop the
-// lifecycle applier — requests must have stopped before the applier does,
-// which the HTTP drain guarantees for the network path. In-process callers
-// must finish before Close. Idempotent.
-//
-// A connection still open at the drain deadline is closed by force rather
-// than reported: net/http counts a connection that has not yet sent a
-// request as idle only after five seconds, so a client that connects and
-// says nothing would otherwise turn every shutdown into an error and keep
-// its socket.
+// Close shuts the daemon down in dependency order: stop accepting, close
+// idle connections, give in-flight requests until ShutdownTimeout and then
+// close their connections, wait for every connection goroutine, and only
+// then stop the sweeper and the lifecycle applier — a resolve after the
+// applier stops would send on its closed channel. In-process callers must
+// finish before Close. Safe to call concurrently; every call returns once
+// the shutdown is done, the later ones with nil.
 func (s *Server) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
 	var err error
-	if s.hsrv != nil {
+	s.closeOnce.Do(func() { err = s.shutdown() })
+	return err
+}
+
+func (s *Server) shutdown() error {
+	var err error
+	if s.ln != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
+		defer cancel()
+		_ = s.ln.Close()
+		<-s.acceptDone
+		s.drainConns(ctx) // first: until it is empty it may hand connections to net/http
 		err = s.hsrv.Shutdown(ctx)
-		cancel()
 		if errors.Is(err, context.DeadlineExceeded) {
 			err = s.hsrv.Close()
 		}
+		s.connWG.Wait()
 	}
 	if s.sweepStop != nil {
 		close(s.sweepStop)
@@ -397,38 +421,95 @@ func (s *Server) handler() http.Handler {
 	return mux
 }
 
+// handleResolve answers the /resolve requests the fast loop hands over.
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	client, ok := parseClient(q)
-	if !ok {
-		http.Error(w, "bad lat/lon", http.StatusBadRequest)
-		return
-	}
-	obj, ok := s.objects[content.ID(q.Get("obj"))]
-	if !ok {
-		http.Error(w, "unknown object", http.StatusNotFound)
-		return
-	}
 	sc := s.AcquireScratch()
 	defer s.ReleaseScratch(sc)
-	res, err := s.ResolveOnce(spacecdn.Request{
-		Client: client,
-		ISO2:   q.Get("iso2"),
-		Obj:    obj,
-	}, sc)
+	body, err := s.resolveQuery([]byte(r.URL.RawQuery), sc)
 	if err != nil {
-		// No satellite over the client is our coverage; every other failure
-		// is the ground stage (or its absence) upstream of the satellite.
-		status := http.StatusBadGateway
-		if errors.Is(err, spacecdn.ErrNoVisibleSatellite) {
-			status = http.StatusServiceUnavailable
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), statusOf(err))
 		return
 	}
-	sc.buf = appendResponse(sc.buf[:0], res)
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(sc.buf)
+	_, _ = w.Write(body)
+}
+
+var (
+	errBadClient     = errors.New("bad lat/lon")
+	errUnknownObject = errors.New("unknown object")
+)
+
+// statusOf maps a /resolve failure to its status. No satellite over the
+// client is our coverage; every other resolve failure is the ground stage,
+// or its absence, upstream of the satellite.
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, errBadClient):
+		return http.StatusBadRequest
+	case errors.Is(err, errUnknownObject):
+		return http.StatusNotFound
+	case errors.Is(err, spacecdn.ErrNoVisibleSatellite):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadGateway
+}
+
+// resolveQuery serves one raw /resolve query; the body is encoded into sc.
+func (s *Server) resolveQuery(raw []byte, sc *Scratch) ([]byte, error) {
+	req, err := s.parseQuery(raw)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.ResolveOnce(req, sc)
+	if err != nil {
+		return nil, err
+	}
+	sc.buf = appendResponse(sc.buf[:0], res)
+	return sc.buf, nil
+}
+
+var queryKeys = [...]string{"lat", "lon", "iso2", "obj"}
+
+// parseQuery reads a /resolve query in place as url.ParseQuery and
+// Values.Get do: pairs split on '&', a pair holding ';' or a bad escape is
+// skipped, the first value wins. Only escaped keys and values allocate.
+func (s *Server) parseQuery(raw []byte) (spacecdn.Request, error) {
+	var vals [len(queryKeys)][]byte
+	var seen [len(queryKeys)]bool
+	for len(raw) > 0 {
+		var kv []byte
+		kv, raw, _ = bytes.Cut(raw, []byte("&"))
+		k, v, _ := bytes.Cut(kv, []byte("="))
+		k, okK := unescape(k)
+		v, okV := unescape(v)
+		for i, key := range queryKeys {
+			if okK && okV && !seen[i] && string(k) == key && bytes.IndexByte(kv, ';') < 0 {
+				vals[i], seen[i] = v, true
+			}
+		}
+	}
+	client, ok := parseClient(vals[0], vals[1])
+	if !ok {
+		return spacecdn.Request{}, errBadClient
+	}
+	obj, ok := s.objects[content.ID(vals[3])]
+	if !ok {
+		return spacecdn.Request{}, errUnknownObject
+	}
+	// A known country code comes back as the dataset's string: no allocation.
+	c, known := geo.CountryByISO(string(vals[2]))
+	if !known || c.ISO2 != string(vals[2]) {
+		c.ISO2 = string(vals[2])
+	}
+	return spacecdn.Request{Client: client, ISO2: c.ISO2, Obj: obj}, nil
+}
+
+func unescape(b []byte) ([]byte, bool) {
+	if bytes.IndexByte(b, '%') < 0 && bytes.IndexByte(b, '+') < 0 {
+		return b, true
+	}
+	u, err := url.QueryUnescape(string(b))
+	return []byte(u), err == nil
 }
 
 // parseClient reads the client location of a /resolve query. ParseFloat
@@ -436,9 +517,9 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 // coordinates that are no place on Earth: a non-finite value or a latitude
 // beyond a pole is a malformed request, not a point to clamp. Finite
 // longitudes of any size keep wrapping into (-180, 180].
-func parseClient(q url.Values) (geo.Point, bool) {
-	lat, errLat := strconv.ParseFloat(q.Get("lat"), 64)
-	lon, errLon := strconv.ParseFloat(q.Get("lon"), 64)
+func parseClient(latQ, lonQ []byte) (geo.Point, bool) {
+	lat, errLat := strconv.ParseFloat(string(latQ), 64)
+	lon, errLon := strconv.ParseFloat(string(lonQ), 64)
 	if errLat != nil || errLon != nil {
 		return geo.Point{}, false
 	}

@@ -29,7 +29,7 @@ var (
 )
 
 // newTestServer builds a server (and its workload) over a fresh system.
-func newTestServer(t *testing.T, cfg Config) (*Server, *Workload) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *Workload) {
 	t.Helper()
 	sys, err := spacecdn.NewSystem(spacecdn.DefaultConfig(), testConst, testLSN)
 	if err != nil {
@@ -267,7 +267,7 @@ func TestResolveRejectsBadCoordinates(t *testing.T) {
 			t.Errorf("lat=%q lon=%q: status %d, want %d", tc.lat, tc.lon, rec.Code, tc.want)
 		}
 	}
-	if pt, ok := parseClient(url.Values{"lat": {"-90"}, "lon": {"359"}}); !ok || pt != geo.NewPoint(-90, -1) {
+	if pt, ok := parseClient([]byte("-90"), []byte("359")); !ok || pt != geo.NewPoint(-90, -1) {
 		t.Errorf("lat=-90 lon=359 parsed to %v, %v", pt, ok)
 	}
 }

@@ -16,7 +16,11 @@
 #          code one -race pass at one GOMAXPROCS can miss; then the resolve
 #          entry points' schedule-sensitive tests at -count=3 -cpu 1,2,4:
 #          Resolve, ResolveAt (inline and applier) and ResolveAll share one
-#          pipeline body, so it should see more than one GOMAXPROCS too
+#          pipeline body, so it should see more than one GOMAXPROCS too; and
+#          the daemon's connection tests (in-place /resolve loop, handover to
+#          net/http, Close) at -count=3 -cpu 1,2,4
+#   fuzz   10 s of FuzzResolveQuery: the in-place /resolve query parser
+#          against url.ParseQuery and the coordinate check
 #   benchmod  vet and test the repository benchmark (bench/), a nested module
 #          the root `go test ./...` never sees
 #   smoke  CLI run asserting the telemetry artifact parses with non-zero
@@ -47,7 +51,7 @@
 # internal/experiments/testdata/golden.json.
 #
 # No arguments runs the full local gate: fmt vet build staticcheck test
-# benchmod race smoke observe.
+# benchmod race fuzz smoke observe.
 # The script is non-interactive and exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -87,6 +91,11 @@ stage_race() {
 	go test -race -count=5 -cpu 1,2,4 -run 'PathTree|SPTree|LazyTreeConcurrent|Striped|Histogram|Counter' \
 		./internal/routing ./internal/constellation ./internal/telemetry ./internal/parallel
 	go test -race -count=3 -cpu 1,2,4 -run 'ResolveAt|Lifecycle|Applier|Stress' ./internal/spacecdn ./internal/serve
+	go test -race -count=3 -cpu 1,2,4 -run 'FastPath|Handover|Close' ./internal/serve
+}
+
+stage_fuzz() {
+	go test -run '^$' -fuzz FuzzResolveQuery -fuzztime 10s ./internal/serve
 }
 
 stage_benchmod() {
@@ -169,12 +178,12 @@ stage_serve() {
 
 stages="$*"
 if [ -z "$stages" ]; then
-	stages="fmt vet build staticcheck test benchmod race smoke observe"
+	stages="fmt vet build staticcheck test benchmod race fuzz smoke observe"
 fi
 
 for stage in $stages; do
 	case "$stage" in
-	fmt | vet | build | staticcheck | test | benchmod | race | smoke | observe | bench | serve | lifecycle) ;;
+	fmt | vet | build | staticcheck | test | benchmod | race | fuzz | smoke | observe | bench | serve | lifecycle) ;;
 	*)
 		echo "verify: unknown stage '$stage'" >&2
 		exit 2
