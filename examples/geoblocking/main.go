@@ -16,7 +16,6 @@ import (
 	"spacecdn/internal/geo"
 	"spacecdn/internal/groundseg"
 	"spacecdn/internal/stats"
-	"spacecdn/internal/terrestrial"
 )
 
 func main() {
@@ -55,7 +54,7 @@ func main() {
 
 	// No mapping technique rescues the subscriber: every signal the CDN can
 	// see points at the PoP.
-	network, err := cdn.New(cdn.DefaultConfig(), terrestrial.NewModel())
+	network, err := cdn.New(cdn.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

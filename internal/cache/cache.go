@@ -1,6 +1,6 @@
 // Package cache implements the byte-capacity caches used by both the
-// terrestrial CDN edges and the SpaceCDN satellite caches: LRU, LFU and
-// TTL-wrapped variants, plus a geography-aware eviction policy for the
+// terrestrial CDN edges and the SpaceCDN satellite caches: LRU, a two-tier
+// hot/bulk store, plus a geography-aware eviction policy for the
 // paper's "content bubbles" (§5) — evict objects whose popularity region the
 // satellite is leaving.
 //
@@ -131,7 +131,7 @@ type Cache interface {
 	// was admitted (an item larger than the capacity is rejected).
 	Put(it Item) bool
 	// Entry returns the cached item's metadata without side effects (no
-	// recency or frequency update) — the lifecycle layer reads entry
+	// recency update) — the lifecycle layer reads entry
 	// versions and expiry stamps through it on the resolve path.
 	Entry(k Key) (Item, bool)
 	// Remove deletes a key if present.

@@ -82,6 +82,26 @@ func TestLRURemove(t *testing.T) {
 	}
 }
 
+func TestLRURemoveAndStats(t *testing.T) {
+	c := NewLRU(100)
+	c.Put(Item{Key: "a", Size: 10})
+	c.Get("a")
+	c.Get("nope")
+	if !c.Remove("a") || c.Remove("a") {
+		t.Error("remove semantics broken")
+	}
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+	if st.HitRate() != 0.5 {
+		t.Errorf("hit rate = %v", st.HitRate())
+	}
+	if (Stats{}).HitRate() != 0 {
+		t.Error("empty hit rate should be 0")
+	}
+}
+
 func TestLRUKeysOrder(t *testing.T) {
 	c := NewLRU(1000)
 	for i := 0; i < 5; i++ {
@@ -159,82 +179,8 @@ func TestLRUCapacityInvariant(t *testing.T) {
 	capacityInvariant(t, func() Cache { return NewLRU(500) })
 }
 
-func TestLFUCapacityInvariant(t *testing.T) {
-	capacityInvariant(t, func() Cache { return NewLFU(500) })
-}
-
 func TestGeoAwareCapacityInvariant(t *testing.T) {
 	capacityInvariant(t, func() Cache { return NewGeoAware(500, "africa") })
-}
-
-func TestLFUEvictsLeastFrequent(t *testing.T) {
-	c := NewLFU(100)
-	c.Put(Item{Key: "hot", Size: 40})
-	c.Put(Item{Key: "cold", Size: 40})
-	for i := 0; i < 10; i++ {
-		c.Get("hot")
-	}
-	c.Put(Item{Key: "new", Size: 40})
-	if c.Peek("cold") {
-		t.Error("cold should be evicted")
-	}
-	if !c.Peek("hot") {
-		t.Error("hot should survive")
-	}
-	if !c.Peek("new") {
-		t.Error("new should be admitted")
-	}
-}
-
-func TestLFUDeterministicTieBreak(t *testing.T) {
-	// Equal frequencies: the oldest insertion is evicted first.
-	c := NewLFU(100)
-	c.Put(Item{Key: "first", Size: 40})
-	c.Put(Item{Key: "second", Size: 40})
-	c.Put(Item{Key: "third", Size: 40})
-	if c.Peek("first") {
-		t.Error("first (oldest, freq 1) should be evicted")
-	}
-	if !c.Peek("second") || !c.Peek("third") {
-		t.Error("newer entries should survive")
-	}
-}
-
-func TestLFUProtectsIncoming(t *testing.T) {
-	// The just-inserted item must not evict itself even when it has the
-	// lowest frequency.
-	c := NewLFU(100)
-	c.Put(Item{Key: "a", Size: 60})
-	for i := 0; i < 5; i++ {
-		c.Get("a")
-	}
-	c.Put(Item{Key: "b", Size: 60})
-	if !c.Peek("b") {
-		t.Error("incoming item evicted itself")
-	}
-	if c.Peek("a") {
-		t.Error("a should have been evicted to fit b")
-	}
-}
-
-func TestLFURemoveAndStats(t *testing.T) {
-	c := NewLFU(100)
-	c.Put(Item{Key: "a", Size: 10})
-	c.Get("a")
-	c.Get("nope")
-	if !c.Remove("a") || c.Remove("a") {
-		t.Error("remove semantics broken")
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.HitRate() != 0.5 {
-		t.Errorf("hit rate = %v", st.HitRate())
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Error("empty hit rate should be 0")
-	}
 }
 
 func TestGeoAwareEvictsOutOfRegionFirst(t *testing.T) {
@@ -300,7 +246,6 @@ func TestCachesConcurrentAccess(t *testing.T) {
 		c    Cache
 	}{
 		{"lru", NewLRU(1000)},
-		{"lfu", NewLFU(1000)},
 		{"geo", NewGeoAware(1000, "africa")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

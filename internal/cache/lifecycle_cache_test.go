@@ -5,45 +5,6 @@ import (
 	"testing"
 )
 
-// TestLFUOnChangeEvents covers every LFU membership transition: insert,
-// capacity eviction, Remove, and Drop all fire; overwrites, Get bumps, and
-// misses fire nothing.
-func TestLFUOnChangeEvents(t *testing.T) {
-	c := NewLFU(30)
-	var got []event
-	c.SetOnChange(func(k Key, present bool) { got = append(got, event{k, present}) })
-
-	c.Put(Item{Key: "a", Size: 10})
-	c.Put(Item{Key: "b", Size: 10})
-	c.Get("a")                      // frequency bump: no event
-	c.Put(Item{Key: "a", Size: 10}) // overwrite: no event
-	c.Put(Item{Key: "c", Size: 20}) // over capacity: evicts lowest-freq ("b")
-	c.Remove("c")
-	c.Drop("a", EvictPurged)
-	c.Remove("missing") // no event
-
-	want := []event{
-		{"a", true},
-		{"b", true},
-		{"c", true},
-		{"b", false},
-		{"c", false},
-		{"a", false},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("event stream mismatch:\n got  %v\n want %v", got, want)
-	}
-	if n := c.Stats().EvictionsFor(EvictPurged); n != 1 {
-		t.Fatalf("Drop(EvictPurged) counted %d, want 1", n)
-	}
-
-	c.SetOnChange(nil)
-	c.Put(Item{Key: "d", Size: 5})
-	if len(got) != len(want) {
-		t.Fatalf("events fired after detach: %v", got[len(want):])
-	}
-}
-
 // TestGeoAwareDropAndEntryEvents extends the GeoAware listener coverage to
 // the lifecycle mutation paths (Drop, Entry) that bypass Put/Remove.
 func TestGeoAwareDropAndEntryEvents(t *testing.T) {
@@ -175,7 +136,6 @@ func TestTieredRejectsOversize(t *testing.T) {
 func TestCheckConsistency(t *testing.T) {
 	caches := map[string]Cache{
 		"lru":    NewLRU(50),
-		"lfu":    NewLFU(50),
 		"geo":    NewGeoAware(50, "EU"),
 		"tiered": NewTiered(25, 25),
 	}

@@ -37,18 +37,12 @@ func TestEvictionReasonTableExhaustive(t *testing.T) {
 // TestEvictionReasonsByPolicy checks each policy attributes evictions to the
 // right cause and that the breakdown sums to the total.
 func TestEvictionReasonsByPolicy(t *testing.T) {
-	// LRU and LFU only evict for capacity.
+	// LRU only evicts for capacity.
 	lru := NewLRU(100)
 	lru.Put(Item{Key: "a", Size: 60})
 	lru.Put(Item{Key: "b", Size: 60}) // evicts a
 	if st := lru.Stats(); st.EvictionsFor(EvictCapacity) != 1 || st.EvictionsFor(EvictRegionChange) != 0 {
 		t.Fatalf("lru reasons = %+v", st.ByReason)
-	}
-	lfu := NewLFU(100)
-	lfu.Put(Item{Key: "a", Size: 60})
-	lfu.Put(Item{Key: "b", Size: 60})
-	if st := lfu.Stats(); st.EvictionsFor(EvictCapacity) != 1 {
-		t.Fatalf("lfu reasons = %+v", st.ByReason)
 	}
 
 	// GeoAware prefers out-of-region victims and labels them as such.

@@ -1,8 +1,7 @@
 // Package cdn implements the terrestrial content delivery network substrate:
 // a Cloudflare-like global edge footprint, anycast server selection (lowest
 // latency from the client's network vantage — which, for satellite
-// subscribers, is their PoP, not their home), LRU edge caches and origin
-// fetches over the WAN.
+// subscribers, is their PoP, not their home) and LRU edge caches.
 //
 // The paper's core observation lives in the vantage parameter of the
 // selection functions: terrestrial clients are localized by their own
@@ -12,13 +11,11 @@ package cdn
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"spacecdn/internal/cache"
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/stats"
-	"spacecdn/internal/terrestrial"
 )
 
 // Edge is one CDN point of presence with its cache.
@@ -31,94 +28,50 @@ type Edge struct {
 type Config struct {
 	// EdgeCacheBytes is the per-edge cache capacity.
 	EdgeCacheBytes int64
-	// OriginCities host the origin servers (content sources of truth).
-	OriginCities []string
 	// AnycastSpread is how many nearest edges a client may be mapped to;
 	// the paper notes clients from one city often reach several CDN sites
 	// in neighbouring countries.
 	AnycastSpread int
-	// OriginProcMs is the origin's processing time on a cache miss.
-	OriginProcMs float64
-	// EdgeProcMs is the edge's request processing time.
-	EdgeProcMs float64
 }
 
 // DefaultConfig returns a realistic global CDN setup.
 func DefaultConfig() Config {
 	return Config{
 		EdgeCacheBytes: 64 << 30, // 64 GiB of hot content per edge
-		OriginCities:   []string{"Ashburn, US", "Frankfurt, DE", "Singapore, SG"},
 		AnycastSpread:  3,
-		OriginProcMs:   15,
-		EdgeProcMs:     1.5,
 	}
 }
 
 // CDN is a deployed content delivery network. Edge caches are mutable (they
 // fill as requests flow); the deployment itself is immutable.
 type CDN struct {
-	cfg     Config
-	edges   []*Edge
-	origins []geo.City
-	terr    *terrestrial.Model
+	cfg   Config
+	edges []*Edge
 }
 
 // New deploys an edge in every city of the embedded world dataset —
 // mirroring a large anycast CDN whose footprint covers essentially every
 // sizeable metro, including African ones (the paper's Fig. 3b shows a
 // Cloudflare edge in Maputo itself).
-func New(cfg Config, t *terrestrial.Model) (*CDN, error) {
+func New(cfg Config) (*CDN, error) {
 	if cfg.EdgeCacheBytes <= 0 {
 		return nil, fmt.Errorf("cdn: non-positive edge cache capacity")
 	}
 	if cfg.AnycastSpread <= 0 {
 		return nil, fmt.Errorf("cdn: anycast spread must be positive")
 	}
-	c := &CDN{cfg: cfg, terr: t}
+	c := &CDN{cfg: cfg}
 	for _, city := range geo.Cities() {
 		c.edges = append(c.edges, &Edge{
 			City:  city,
 			Cache: cache.NewLRU(cfg.EdgeCacheBytes),
 		})
 	}
-	for _, name := range cfg.OriginCities {
-		city, ok := geo.CityByName(name)
-		if !ok {
-			return nil, fmt.Errorf("cdn: unknown origin city %q", name)
-		}
-		c.origins = append(c.origins, city)
-	}
-	if len(c.origins) == 0 {
-		return nil, fmt.Errorf("cdn: need at least one origin")
-	}
 	return c, nil
-}
-
-// MustNew is New for static configurations; it panics on error.
-func MustNew(cfg Config, t *terrestrial.Model) *CDN {
-	c, err := New(cfg, t)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Edges returns the deployment (shared slice; edges are live objects).
 func (c *CDN) Edges() []*Edge { return c.edges }
-
-// EdgeIn returns the edge in the given city, if deployed.
-func (c *CDN) EdgeIn(cityName string) (*Edge, bool) {
-	city, ok := geo.CityByName(cityName)
-	if !ok {
-		return nil, false
-	}
-	for _, e := range c.edges {
-		if e.City.Name == city.Name && e.City.Country == city.Country {
-			return e, true
-		}
-	}
-	return nil, false
-}
 
 // EdgesByDistance returns the k edges nearest the vantage point, closest
 // first.
@@ -161,53 +114,6 @@ func (c *CDN) SelectAnycast(vantage geo.Point, rng *stats.Rand) *Edge {
 		}
 	}
 	return cands[len(cands)-1]
-}
-
-// NearestOrigin returns the origin city closest to an edge.
-func (c *CDN) NearestOrigin(from geo.Point) geo.City {
-	best := c.origins[0]
-	bestD := geo.HaversineKm(from, best.Loc)
-	for _, o := range c.origins[1:] {
-		if d := geo.HaversineKm(from, o.Loc); d < bestD {
-			bestD = d
-			best = o
-		}
-	}
-	return best
-}
-
-// FetchResult describes one request served through an edge.
-type FetchResult struct {
-	Edge     *Edge
-	CacheHit bool
-	// TTFB is the time from the client issuing the request to the first
-	// response byte arriving, given the provided client->edge RTT.
-	TTFB time.Duration
-	// OriginRTT is the edge->origin round trip paid on a miss (zero on hit).
-	OriginRTT time.Duration
-}
-
-// Fetch serves an object through an edge. clientRTT is the measured
-// client-to-edge round trip (terrestrial or via satellite — the caller
-// computed it from its network model). On a miss the edge fetches from the
-// nearest origin over the WAN and fills its cache.
-func (c *CDN) Fetch(e *Edge, obj content.Object, clientRTT time.Duration, rng *stats.Rand) FetchResult {
-	res := FetchResult{Edge: e}
-	proc := time.Duration(c.cfg.EdgeProcMs * float64(time.Millisecond))
-	if e.Cache.Get(cache.Key(obj.ID)) {
-		res.CacheHit = true
-		res.TTFB = clientRTT + proc
-		return res
-	}
-	origin := c.NearestOrigin(e.City.Loc)
-	originRTT := 2*terrestrial.FiberDelay(geo.HaversineKm(e.City.Loc, origin.Loc)*1.35) +
-		time.Duration(c.cfg.OriginProcMs*float64(time.Millisecond))
-	// Light transit noise on the WAN leg.
-	originRTT += time.Duration(rng.Exponential(2) * float64(time.Millisecond))
-	e.Cache.Put(cache.Item{Key: cache.Key(obj.ID), Size: obj.Bytes, Tag: obj.Region.String()})
-	res.OriginRTT = originRTT
-	res.TTFB = clientRTT + proc + originRTT
-	return res
 }
 
 // Warm pre-populates an edge cache with a region's most popular objects

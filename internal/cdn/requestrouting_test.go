@@ -5,24 +5,14 @@ import (
 
 	"spacecdn/internal/geo"
 	"spacecdn/internal/stats"
-	"spacecdn/internal/terrestrial"
 )
-
-func routingCDN(t *testing.T) *CDN {
-	t.Helper()
-	c, err := New(DefaultConfig(), terrestrial.NewModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
 
 func allMethods() []RoutingMethod {
 	return []RoutingMethod{MethodAnycast, MethodDNSResolver, MethodDNSECS, MethodGeoIP}
 }
 
 func TestTerrestrialVantageLocalizesCorrectly(t *testing.T) {
-	c := routingCDN(t)
+	c := newCDN(t)
 	maputo, _ := geo.CityByName("Maputo, MZ")
 	v := TerrestrialVantage(maputo.Loc)
 	for _, m := range allMethods() {
@@ -40,7 +30,7 @@ func TestLSNVantageMislocalizesUnderEveryMethod(t *testing.T) {
 	// The paper's structural point: for a CGNAT'd satellite subscriber,
 	// every mapping signal (BGP entry, resolver, ECS prefix, GeoIP) points
 	// at the PoP, so no technique fixes the mapping.
-	c := routingCDN(t)
+	c := newCDN(t)
 	maputo, _ := geo.CityByName("Maputo, MZ")
 	fra, _ := geo.CityByName("Frankfurt, DE")
 	v := LSNVantage(maputo.Loc, fra.Loc)
@@ -56,7 +46,7 @@ func TestLSNVantageMislocalizesUnderEveryMethod(t *testing.T) {
 }
 
 func TestAnycastSpreadWithRNG(t *testing.T) {
-	c := routingCDN(t)
+	c := newCDN(t)
 	london, _ := geo.CityByName("London, GB")
 	v := TerrestrialVantage(london.Loc)
 	rng := stats.NewRand(1)
@@ -95,7 +85,7 @@ func TestResolverOnlyDiffersWhenResolverRemote(t *testing.T) {
 	// resolver in another country) gets mis-mapped by DNS-resolver routing
 	// but not by ECS — the classic argument for ECS, which CGNAT then
 	// defeats for LSN users.
-	c := routingCDN(t)
+	c := newCDN(t)
 	maputo, _ := geo.CityByName("Maputo, MZ")
 	lisbon, _ := geo.CityByName("Lisbon, PT")
 	v := Vantage{ClientLoc: maputo.Loc, ResolverLoc: lisbon.Loc, PublicIPLoc: maputo.Loc}

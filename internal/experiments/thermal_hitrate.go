@@ -93,7 +93,7 @@ func (s *Suite) CacheMissRates() ([]HitRateRow, error) {
 	}
 	// A fresh CDN so warming is controlled (the suite's shared CDN has
 	// traffic-dependent state).
-	cd, err := cdn.New(cdn.DefaultConfig(), s.Env.Terrestrial)
+	cd, err := cdn.New(cdn.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func NewEnvironment() (*Environment, error) {
 	}
 	ground := groundseg.NewCatalog()
 	terr := terrestrial.NewModel()
-	cd, err := cdn.New(cdn.DefaultConfig(), terr)
+	cd, err := cdn.New(cdn.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -123,12 +123,6 @@ type Server struct {
 	reqs, errs, stale, swaps *telemetry.Counter
 	latMs, swapMs            *telemetry.Histogram
 
-	// swapDurMs is a ring of the most recent swap durations; swapNext is the
-	// slot the next one overwrites once the ring is full.
-	mu        sync.Mutex
-	swapDurMs []float64
-	swapNext  int
-
 	// connWG counts every connection goroutine, fast loop or net/http.
 	ln         net.Listener
 	acceptDone chan struct{}
@@ -220,11 +214,6 @@ func (s *Server) AcquireScratch() *Scratch { return s.scratch.Get().(*Scratch) }
 // ReleaseScratch returns a Scratch to the pool.
 func (s *Server) ReleaseScratch(sc *Scratch) { s.scratch.Put(sc) }
 
-// swapRing bounds the swap durations Stats summarizes: the daemon publishes
-// ten epochs a second for as long as it is up, so an unbounded record is a
-// leak. 1024 swaps keep the p99 ten samples clear of the maximum.
-const swapRing = 1024
-
 // advance builds and publishes the next epoch. Only New and the sweeper
 // goroutine call it, so seq increments are single-writer; the epoch store
 // happens before the seq store, which keeps the reader-side staleness test
@@ -239,14 +228,6 @@ func (s *Server) advance() {
 	ms := float64(time.Since(begin)) / float64(time.Millisecond)
 	s.swaps.Inc()
 	s.swapMs.Observe(ms)
-	s.mu.Lock()
-	if len(s.swapDurMs) < swapRing {
-		s.swapDurMs = append(s.swapDurMs, ms)
-	} else {
-		s.swapDurMs[s.swapNext] = ms
-		s.swapNext = (s.swapNext + 1) % swapRing
-	}
-	s.mu.Unlock()
 }
 
 // ResolveOnce serves one request against the currently published epoch —
@@ -387,29 +368,23 @@ type Stats struct {
 	// Epochs is the published epoch count (the initial publication is #1).
 	Epochs uint64
 	// SwapP50Ms / SwapP99Ms summarize epoch build-and-publish latency over
-	// the most recent swaps (at most swapRing of them).
+	// every swap, read from the serve_epoch_swap_ms histogram: interpolated
+	// within its buckets, not exact order statistics.
 	SwapP50Ms, SwapP99Ms float64
 }
 
 // Stats returns the serving counters — the registry's own, merged at read
 // (exact once requests quiesce), so servers sharing a telemetry bundle share
-// their request tallies.
+// their request tallies and swap quantiles.
 func (s *Server) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Requests:    s.reqs.Value(),
 		Errors:      s.errs.Value(),
 		StaleServed: s.stale.Value(),
 		Epochs:      s.seq.Load(),
+		SwapP50Ms:   s.swapMs.Quantile(0.5),
+		SwapP99Ms:   s.swapMs.Quantile(0.99),
 	}
-	s.mu.Lock()
-	durs := append([]float64(nil), s.swapDurMs...)
-	s.mu.Unlock()
-	if len(durs) > 0 {
-		cdf := stats.NewCDF(durs)
-		st.SwapP50Ms = cdf.Median()
-		st.SwapP99Ms = cdf.Quantile(0.99)
-	}
-	return st
 }
 
 // handler mounts /resolve next to the full telemetry introspection surface

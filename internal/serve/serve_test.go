@@ -399,20 +399,22 @@ func TestServeLatencyHistogramResolvesThePath(t *testing.T) {
 }
 
 // TestSwapDurationsBounded: the daemon publishes ten epochs a second for as
-// long as it is up, so the swap-latency record Stats summarizes is a ring,
-// not a log.
+// long as it is up, so the swap-latency record Stats summarizes is the
+// fixed-bucket serve_epoch_swap_ms histogram, not a log, and it counts
+// every swap.
 func TestSwapDurationsBounded(t *testing.T) {
+	const swaps = 10240
 	srv, _ := newTestServer(t, Config{Seed: 9})
 	defer srv.Close()
-	for i := 0; i < 10*swapRing; i++ {
+	for i := 0; i < swaps; i++ {
 		srv.advance()
 	}
-	if got := len(srv.swapDurMs); got != swapRing {
-		t.Fatalf("swap record holds %d durations after %d swaps, want the ring's %d", got, 10*swapRing+1, swapRing)
+	if got := srv.swapMs.Count(); got != swaps+1 {
+		t.Fatalf("swap histogram holds %d durations after %d swaps", got, swaps+1)
 	}
 	st := srv.Stats()
-	if st.Epochs != 10*swapRing+1 {
-		t.Fatalf("epochs = %d, want %d", st.Epochs, 10*swapRing+1)
+	if st.Epochs != swaps+1 {
+		t.Fatalf("epochs = %d, want %d", st.Epochs, swaps+1)
 	}
 	if st.SwapP50Ms <= 0 || st.SwapP99Ms < st.SwapP50Ms {
 		t.Fatalf("swap quantiles p50=%v p99=%v, want positive and ordered", st.SwapP50Ms, st.SwapP99Ms)

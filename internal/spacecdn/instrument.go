@@ -210,9 +210,11 @@ func (s *System) Telemetry() *telemetry.Telemetry {
 }
 
 // record accounts one Resolve outcome: counters and histograms always, a
-// full trace only when the sink samples this request. Every count lands on
-// the caller's stripe (see resolveRecorded), so concurrent resolvers write
-// no common cache line here except the sampler's arrival counter.
+// full trace only when the sink samples this request. Every counter and
+// histogram update lands on the caller's stripe (see resolveRecorded). The
+// spatial heatmap's slots are not striped: each request bumps its client's
+// cell slot, and a space serve two slots of its satellite, so concurrent
+// resolvers share those lines as well as the sampler's arrival counter.
 func (in *instruments) record(stripe int, res Resolution, err error, d *resolveDetail) {
 	if d.degraded {
 		// Failovers count even when the request ultimately errors: the

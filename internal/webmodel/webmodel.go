@@ -8,15 +8,14 @@
 // Page structure is synthetic but shaped like the Tranco top-20 landing
 // pages NetMet fetches: an HTML document plus a handful of render-critical
 // assets fetched over a few parallel connections, served from a CDN edge.
-// Downloads run through the netsim discrete-event simulator so that access
-// bandwidth and self-induced queueing shape the result, not just RTT math.
+// Downloads are serialized on the access downlink, so access bandwidth
+// shapes the result, not just RTT math.
 package webmodel
 
 import (
 	"fmt"
 	"time"
 
-	"spacecdn/internal/netsim"
 	"spacecdn/internal/stats"
 )
 
@@ -140,23 +139,15 @@ func LoadPage(page Page, p NetParams, rng *stats.Rand) (LoadResult, error) {
 	serverProc := time.Duration(page.ServerProcMs * float64(time.Millisecond))
 	res.HRT = exchange() + serverProc // request -> first byte
 
-	// Downloads over the access link, simulated: the HTML first, then the
-	// critical assets over Connections parallel connections sharing the
-	// downlink. Each connection pays a request exchange before its asset
-	// streams.
-	sim := netsim.NewSimulator()
+	// Downloads over the access link: the HTML first, then the critical
+	// assets over Connections parallel connections sharing the downlink.
 	rate := p.DownlinkMbps * 1e6
-	link := netsim.NewLink("access-dl", rate, 0, 0)
-	dlPath := netsim.Path{link}
-
-	var htmlDone time.Duration
-	netsim.Transfer(sim, dlPath, page.HTMLBytes, 64<<10, func() { htmlDone = sim.Now() }, nil)
-	sim.Run()
+	htmlDone := downloadTime(page.HTMLBytes, rate)
 
 	// Critical assets are discovered once HTML is parsed; fetch them in
 	// waves of Connections. Each wave pays one request exchange (connection
-	// reuse) drawn outside the simulator, then the wave's bytes share the
-	// downlink.
+	// reuse), then the wave's bytes share the downlink, so the wave ends
+	// when all of them have crossed it.
 	var waveTime time.Duration
 	crit := page.Critical
 	for len(crit) > 0 {
@@ -168,28 +159,31 @@ func LoadPage(page Page, p NetParams, rng *stats.Rand) (LoadResult, error) {
 		crit = crit[n:]
 
 		waveTime += exchange() // request round trip for the wave
-		sim2 := netsim.NewSimulator()
-		link2 := netsim.NewLink("access-dl", rate, 0, 0)
-		done := 0
-		var last time.Duration
 		for _, b := range wave {
-			netsim.Transfer(sim2, netsim.Path{link2}, b, 64<<10, func() {
-				done++
-				last = sim2.Now()
-			}, nil)
+			waveTime += downloadTime(b, rate)
 			res.Bytes += b
 		}
-		sim2.Run()
-		if done != len(wave) {
-			return LoadResult{}, fmt.Errorf("webmodel: wave incomplete (%d/%d)", done, len(wave))
-		}
-		waveTime += last
 	}
 
 	res.Bytes += page.HTMLBytes
 	scriptExec := time.Duration(page.ScriptExecMs * float64(time.Millisecond))
 	res.FCP = res.DNS + res.Connect + res.TLS + res.HRT + htmlDone + waveTime + scriptExec + renderDelay
 	return res, nil
+}
+
+// segmentBytes is the unit a transfer is serialized in.
+const segmentBytes = 64 << 10
+
+// downloadTime returns how long n bytes take on a downlink of rateBps with
+// no propagation delay and no queue limit: the sum of the per-segment
+// serialization times, each truncated to the nanosecond.
+func downloadTime(n int64, rateBps float64) time.Duration {
+	var d time.Duration
+	for ; n > 0; n -= segmentBytes {
+		seg := min(n, segmentBytes)
+		d += time.Duration(float64(seg) * 8 / rateBps * float64(time.Second))
+	}
+	return d
 }
 
 // LoadMany performs n independent loads of each page and returns all

@@ -231,3 +231,26 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestDownloadTimePerSegmentTruncation pins the closed form with values
+// worked out by hand at 7 Mbit/s, where one byte takes 1142.857… ns: each
+// 64 KiB segment is truncated to the nanosecond on its own, so a transfer
+// is not the truncated time of its total bytes.
+func TestDownloadTimePerSegmentTruncation(t *testing.T) {
+	const rate = 7e6
+	for _, tc := range []struct {
+		bytes int64
+		want  time.Duration
+	}{
+		{0, 0},
+		{1, 1142},             // 1142.857…
+		{65535, 74897142},     // 74,897,142.857…
+		{65536, 74898285},     // one full segment: 74,898,285.714…
+		{65537, 74899427},     // 74,898,285 + 1,142 (whole: …428)
+		{3000000, 3428571396}, // 45 × 74,898,285 + 50,880 B → 58,148,571
+	} {
+		if got := downloadTime(tc.bytes, rate); got != tc.want {
+			t.Errorf("downloadTime(%d) = %d ns, want %d ns", tc.bytes, got, tc.want)
+		}
+	}
+}

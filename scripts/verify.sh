@@ -45,13 +45,15 @@
 #   lifecycle  instrumented run of the lifecycle experiment whose telemetry
 #          is checked for the lifecycle counters (purge propagation,
 #          coalescing, freshness serves)
+#   examples  go run every examples/*/ main; fails on the first non-zero exit
+#          and prints that example's output
 #
 # The deterministic experiment outputs (traffic, resilience, lifecycle) are
 # held by `go test`: internal/experiments TestGoldenExperiments against
 # internal/experiments/testdata/golden.json.
 #
 # No arguments runs the full local gate: fmt vet build staticcheck test
-# benchmod race fuzz smoke observe.
+# benchmod race fuzz smoke observe examples.
 # The script is non-interactive and exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -176,14 +178,27 @@ stage_serve() {
 	go run ./scripts/checkmetrics.go -serve "$out/serve-metrics.json"
 }
 
+stage_examples() {
+	out=$(mktemp -d)
+	trap 'rm -rf "$out"' EXIT
+	for dir in examples/*/; do
+		echo "$dir"
+		if ! go run "./$dir" >"$out/run.log" 2>&1; then
+			cat "$out/run.log" >&2
+			echo "example $dir exited non-zero" >&2
+			exit 1
+		fi
+	done
+}
+
 stages="$*"
 if [ -z "$stages" ]; then
-	stages="fmt vet build staticcheck test benchmod race fuzz smoke observe"
+	stages="fmt vet build staticcheck test benchmod race fuzz smoke observe examples"
 fi
 
 for stage in $stages; do
 	case "$stage" in
-	fmt | vet | build | staticcheck | test | benchmod | race | fuzz | smoke | observe | bench | serve | lifecycle) ;;
+	fmt | vet | build | staticcheck | test | benchmod | race | fuzz | smoke | observe | bench | serve | lifecycle | examples) ;;
 	*)
 		echo "verify: unknown stage '$stage'" >&2
 		exit 2

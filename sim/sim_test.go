@@ -44,23 +44,21 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 		t.Errorf("RTT = %v", res.RTT)
 	}
 	// Shell 1 never rises over the pole; the failure is typed.
-	if _, err := sys.Resolve(sim.NewPoint(89, 0), "NO", obj, env.Snapshot(0), sim.NewRand(1)); !errors.Is(err, sim.ErrNoVisibleSatellite) {
+	if _, err := sys.Resolve(sim.Point{LatDeg: 89}, "NO", obj, env.Snapshot(0), sim.NewRand(1)); !errors.Is(err, sim.ErrNoVisibleSatellite) {
 		t.Errorf("polar resolve error = %v, want sim.ErrNoVisibleSatellite", err)
 	}
 }
 
 func TestFacadeConstellation(t *testing.T) {
-	w := sim.StarlinkShell1()
-	if w.Total() != 1584 {
-		t.Errorf("Shell 1 total = %d", w.Total())
-	}
-	c, err := sim.NewConstellation(sim.DefaultConstellationConfig())
+	env, err := sim.NewEnvironment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot(0)
-	vis := snap.Visible(sim.NewPoint(50.11, 8.68))
-	if len(vis) == 0 {
+	var c *sim.Constellation = env.Constellation
+	if n := c.Total(); n != 1584 {
+		t.Errorf("Shell 1 total = %d", n)
+	}
+	if vis := env.Snapshot(0).Visible(sim.Point{LatDeg: 50.11, LonDeg: 8.68}); len(vis) == 0 {
 		t.Error("no visibility from Frankfurt")
 	}
 }
@@ -74,13 +72,13 @@ func TestFacadeGroundExpansion(t *testing.T) {
 	if !ok || p.Name != "nbo" {
 		t.Errorf("expansion assignment = %+v ok=%v", p, ok)
 	}
-	c, err := sim.NewConstellation(sim.DefaultConstellationConfig())
+	env, err := sim.NewEnvironment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	access := sim.NewAccessModel(c, g)
+	access := sim.NewAccessModel(env.Constellation, g)
 	city, _ := sim.CityByName("Nairobi, KE")
-	path, err := access.ResolvePath(city.Loc, "KE", c.Snapshot(0))
+	path, err := access.ResolvePath(city.Loc, "KE", env.Snapshot(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,30 +91,13 @@ func TestFacadeGroundExpansion(t *testing.T) {
 	}
 }
 
-func TestFacadeCatalog(t *testing.T) {
-	cat, err := sim.GenerateCatalog(sim.DefaultCatalogConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.Len() != 10000 {
-		t.Errorf("catalog size = %d", cat.Len())
-	}
-}
-
-func TestFacadeDataset(t *testing.T) {
-	if len(sim.Cities()) < 120 || len(sim.Countries()) < 80 {
-		t.Errorf("dataset too small: %d cities, %d countries",
-			len(sim.Cities()), len(sim.Countries()))
-	}
-}
-
 func TestFacadeCDN(t *testing.T) {
-	c, err := sim.NewCDN()
+	env, err := sim.NewEnvironment()
 	if err != nil {
 		t.Fatal(err)
 	}
 	city, _ := sim.CityByName("Maputo, MZ")
-	if e := c.NearestEdge(city.Loc); e.City.Name != "Maputo" {
+	if e := env.CDN.NearestEdge(city.Loc); e.City.Name != "Maputo" {
 		t.Errorf("nearest edge = %s", e.City.Name)
 	}
 }
@@ -176,52 +157,5 @@ func TestFacadeTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "# TYPE spacecdn_resolve_rtt_ms histogram") {
 		t.Error("prometheus exposition missing rtt histogram")
-	}
-}
-
-// TestFacadeServe exercises the serving-daemon surface exactly as a
-// downstream user would: deploy, wrap in a Server, place the standard
-// workload, serve a run of requests, inspect stats.
-func TestFacadeServe(t *testing.T) {
-	env, err := sim.NewEnvironment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := sim.DeploySpaceCDN(env, sim.DefaultSpaceCDNConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultServeConfig()
-	if cfg.Step != 15*time.Second || cfg.Interval <= 0 {
-		t.Fatalf("implausible default serve config %+v", cfg)
-	}
-	cfg.Interval = 0 // pin the first epoch: no sweeper in a unit test
-	srv, err := sim.NewServer(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var ep *sim.Epoch = srv.Epoch()
-	if ep.Seq() != 1 {
-		t.Fatalf("first epoch seq = %d, want 1", ep.Seq())
-	}
-	wl, err := srv.PlaceWorkload(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := srv.AcquireScratch()
-	defer srv.ReleaseScratch(sc)
-	var one sim.ServeResult
-	for i := uint64(0); i < 90; i++ {
-		if one, err = srv.ResolveOnce(wl.Request(i), sc); err != nil || one.Epoch != 1 || one.Stale {
-			t.Fatalf("ResolveOnce(%d) = %+v, %v; want fresh epoch-1 serve", i, one, err)
-		}
-	}
-	var st sim.ServeStats = srv.Stats()
-	if st.Requests != 90 || st.Errors != 0 || st.Epochs != 1 {
-		t.Fatalf("serve stats %+v, want 90 clean requests on 1 epoch", st)
-	}
-	if _, ok := interface{}(srv).(*sim.Server); !ok {
-		t.Fatal("facade Server alias does not cover serve.Server")
 	}
 }
