@@ -126,7 +126,7 @@ func run(w io.Writer, iso, network string, loads int, seed int64) error {
 		if !country.Starlink {
 			return fmt.Errorf("%s has no Starlink coverage in the modelled window", iso)
 		}
-		path, err := env.Path(city.Loc, iso, 0)
+		path, err := env.LSN.ResolvePath(city.Loc, iso, env.Snapshot(0))
 		if err != nil {
 			return err
 		}

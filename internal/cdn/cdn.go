@@ -74,26 +74,30 @@ func New(cfg Config) (*CDN, error) {
 func (c *CDN) Edges() []*Edge { return c.edges }
 
 // EdgesByDistance returns the k edges nearest the vantage point, closest
-// first.
+// first. It keeps only the k best while scanning the deployment, so a call
+// allocates two k-sized slices whatever the number of edges.
 func (c *CDN) EdgesByDistance(vantage geo.Point, k int) []*Edge {
 	if k <= 0 {
 		return nil
 	}
-	type ed struct {
-		e *Edge
-		d float64
+	if k > len(c.edges) {
+		k = len(c.edges)
 	}
-	all := make([]ed, len(c.edges))
-	for i, e := range c.edges {
-		all[i] = ed{e: e, d: geo.HaversineKm(vantage, e.City.Loc)}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]*Edge, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].e
+	out := make([]*Edge, 0, k)
+	dist := make([]float64, 0, k)
+	for _, e := range c.edges {
+		d := geo.HaversineKm(vantage, e.City.Loc)
+		if len(out) == k && d >= dist[k-1] {
+			continue
+		}
+		// Insert after any equal distance, so ties keep deployment order.
+		i := sort.Search(len(dist), func(i int) bool { return dist[i] > d })
+		if len(out) < k {
+			out, dist = append(out, nil), append(dist, 0)
+		}
+		copy(out[i+1:], out[i:])
+		copy(dist[i+1:], dist[i:])
+		out[i], dist[i] = e, d
 	}
 	return out
 }

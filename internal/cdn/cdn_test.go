@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"sort"
 	"testing"
 
 	"spacecdn/internal/cache"
@@ -86,6 +87,30 @@ func TestEdgesByDistanceSorted(t *testing.T) {
 	}
 	if got := c.EdgesByDistance(london.Loc, 10000); len(got) != len(c.Edges()) {
 		t.Error("k beyond deployment should clamp")
+	}
+}
+
+// TestEdgesByDistanceMatchesFullSort: the scan's running top-k is the
+// prefix of the whole deployment stably sorted by distance, from every
+// city's vantage and for k of one, a few and all.
+func TestEdgesByDistanceMatchesFullSort(t *testing.T) {
+	c := newCDN(t)
+	for _, city := range geo.Cities() {
+		all := append([]*Edge(nil), c.Edges()...)
+		sort.SliceStable(all, func(i, j int) bool {
+			return geo.HaversineKm(city.Loc, all[i].City.Loc) < geo.HaversineKm(city.Loc, all[j].City.Loc)
+		})
+		for _, k := range []int{1, 3, len(all)} {
+			got := c.EdgesByDistance(city.Loc, k)
+			if len(got) != k {
+				t.Fatalf("%s, k=%d: got %d edges", city.Name, k, len(got))
+			}
+			for i := range got {
+				if got[i] != all[i] {
+					t.Fatalf("%s, k=%d: edge %d is %s, want %s", city.Name, k, i, got[i].City.Name, all[i].City.Name)
+				}
+			}
+		}
 	}
 }
 

@@ -350,54 +350,3 @@ func (v Video) Duration() time.Duration {
 	}
 	return t
 }
-
-// Request is one client content request.
-type Request struct {
-	Object Object
-	At     time.Duration // offset from experiment start
-	From   geo.Point
-	Region geo.Region
-}
-
-// RequestGenerator produces a deterministic request stream for a client
-// population in one region.
-type RequestGenerator struct {
-	Catalog *Catalog
-	Region  geo.Region
-	Loc     geo.Point
-	// MeanInterarrival between requests.
-	MeanInterarrival time.Duration
-	rng              *stats.Rand
-	now              time.Duration
-}
-
-// NewRequestGenerator creates a generator with its own random stream.
-func NewRequestGenerator(c *Catalog, r geo.Region, loc geo.Point, meanIat time.Duration, seed int64) *RequestGenerator {
-	return &RequestGenerator{
-		Catalog:          c,
-		Region:           r,
-		Loc:              loc,
-		MeanInterarrival: meanIat,
-		rng:              stats.NewRand(seed),
-	}
-}
-
-// Next returns the next request in the stream.
-func (g *RequestGenerator) Next() Request {
-	g.now += time.Duration(g.rng.Exponential(float64(g.MeanInterarrival)))
-	return Request{
-		Object: g.Catalog.Sample(g.Region, g.rng),
-		At:     g.now,
-		From:   g.Loc,
-		Region: g.Region,
-	}
-}
-
-// Take returns the next n requests.
-func (g *RequestGenerator) Take(n int) []Request {
-	out := make([]Request, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}

@@ -182,39 +182,3 @@ func TestSegmentizeErrors(t *testing.T) {
 		t.Error("zero bitrate accepted")
 	}
 }
-
-func TestRequestGenerator(t *testing.T) {
-	c := smallCatalog(t)
-	loc := geo.NewPoint(-25.97, 32.57)
-	g := NewRequestGenerator(c, geo.RegionAfrica, loc, time.Second, 7)
-	reqs := g.Take(500)
-	if len(reqs) != 500 {
-		t.Fatalf("got %d requests", len(reqs))
-	}
-	var last time.Duration = -1
-	for _, r := range reqs {
-		if r.At <= last {
-			t.Fatal("request times must be strictly increasing")
-		}
-		last = r.At
-		if r.Region != geo.RegionAfrica || r.From != loc {
-			t.Fatal("request metadata wrong")
-		}
-		if _, ok := c.Object(r.Object.ID); !ok {
-			t.Fatal("request references unknown object")
-		}
-	}
-	// Mean interarrival should be near 1s.
-	mean := float64(reqs[len(reqs)-1].At) / float64(len(reqs)) / float64(time.Second)
-	if mean < 0.8 || mean > 1.25 {
-		t.Errorf("mean interarrival = %.2fs, want ~1s", mean)
-	}
-	// Determinism.
-	g2 := NewRequestGenerator(c, geo.RegionAfrica, loc, time.Second, 7)
-	r2 := g2.Take(500)
-	for i := range reqs {
-		if reqs[i] != r2[i] {
-			t.Fatal("generator not deterministic")
-		}
-	}
-}

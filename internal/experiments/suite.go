@@ -72,12 +72,8 @@ func (s *Suite) SetWorkers(n int) { s.Workers = n }
 
 // SetTelemetry attaches telemetry to the suite: every SpaceCDN system the
 // experiments deploy from here on is instrumented with it, so one registry
-// accumulates the whole run. The environment's cache-effectiveness gauges
-// register alongside. Pass nil to detach.
-func (s *Suite) SetTelemetry(t *telemetry.Telemetry) {
-	s.tel = t
-	s.Env.SetTelemetry(t)
-}
+// accumulates the whole run. Pass nil to detach.
+func (s *Suite) SetTelemetry(t *telemetry.Telemetry) { s.tel = t }
 
 // Telemetry returns the suite's attached telemetry, or nil.
 func (s *Suite) Telemetry() *telemetry.Telemetry { return s.tel }

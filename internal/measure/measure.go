@@ -9,7 +9,6 @@ package measure
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spacecdn/internal/cdn"
@@ -19,7 +18,6 @@ import (
 	"spacecdn/internal/lsn"
 	"spacecdn/internal/parallel"
 	"spacecdn/internal/stats"
-	"spacecdn/internal/telemetry"
 	"spacecdn/internal/terrestrial"
 )
 
@@ -42,34 +40,10 @@ type Environment struct {
 	Terrestrial   *terrestrial.Model
 	CDN           *cdn.CDN
 
-	// mu guards the memoization caches below; campaign generation shards
-	// cities across workers, and all shards share one Environment. Both
-	// caches are LRU-bounded so a long campaign cannot grow them without
-	// limit: snapshots are few but heavy (each can hold an ISL graph and a
-	// path-tree memo), paths are light but numerous.
-	mu sync.Mutex
-	// pathCache memoizes LSN path resolution per (city, snapshot).
-	pathCache *lru[pathKey, lsn.Path]
-	snapCache *lru[time.Duration, *constellation.Snapshot]
-
-	// Cache effectiveness counters, exported as telemetry gauges by
-	// SetTelemetry. Atomics so reads never contend with the cache mutex.
-	snapHits, snapMisses atomic.Int64
-	pathHits, pathMisses atomic.Int64
-}
-
-// Cache bounds. Snapshots cover the handful of sample instants an experiment
-// run touches (snapshotTimes, AIM snapshots, benches at t=0) with generous
-// headroom; paths cover a full campaign's (city, snapshot) working set.
-const (
-	snapCacheCap = 64
-	pathCacheCap = 4096
-)
-
-type pathKey struct {
-	lat, lon float64
-	iso      string
-	t        time.Duration
+	// mu guards snaps; campaign generation shards cities across workers,
+	// and all shards share one Environment.
+	mu    sync.Mutex
+	snaps map[time.Duration]*constellation.Snapshot
 }
 
 // NewEnvironment assembles the default simulation environment.
@@ -90,33 +64,37 @@ func NewEnvironment() (*Environment, error) {
 		LSN:           lsn.NewModel(c, ground, lsn.DefaultConfig()),
 		Terrestrial:   terr,
 		CDN:           cd,
-		pathCache:     newLRU[pathKey, lsn.Path](pathCacheCap),
-		snapCache:     newLRU[time.Duration, *constellation.Snapshot](snapCacheCap),
+		snaps:         make(map[time.Duration]*constellation.Snapshot),
 	}, nil
 }
 
-// Snapshot returns a memoized constellation snapshot. Concurrent callers
-// may compute a missing snapshot twice; the first store wins so every
-// caller converges on one shared (and one lazily-built ISL graph) instance.
+// Snapshot returns the environment's snapshot at t, building it on first
+// use. It keeps every instant ever asked for — the campaigns sample a
+// handful of fixed instants — so a caller stepping through time uses Sweep
+// instead. Concurrent callers may build a missing snapshot twice; the first
+// store wins, so every caller shares one instance (and its lazily built ISL
+// graph).
 func (e *Environment) Snapshot(t time.Duration) *constellation.Snapshot {
 	e.mu.Lock()
-	s, ok := e.snapCache.get(t)
+	s, ok := e.snaps[t]
 	e.mu.Unlock()
 	if ok {
-		e.snapHits.Add(1)
 		return s
 	}
-	e.snapMisses.Add(1)
 	s = e.Constellation.Snapshot(t)
 	e.mu.Lock()
-	s = e.snapCache.put(t, s)
+	if prev, ok := e.snaps[t]; ok {
+		s = prev
+	} else {
+		e.snaps[t] = s
+	}
 	e.mu.Unlock()
 	return s
 }
 
 // Sweep returns an incremental cursor over the environment's constellation —
-// the preferred access pattern for monotonic time loops, leaving Snapshot's
-// random-access cache for parallel generation.
+// the preferred access pattern for monotonic time loops, leaving Snapshot
+// for the campaigns' few fixed instants.
 func (e *Environment) Sweep(start, step time.Duration) *constellation.Sweep {
 	return e.Constellation.Sweep(start, step)
 }
@@ -125,57 +103,6 @@ func (e *Environment) Sweep(start, step time.Duration) *constellation.Sweep {
 // reference).
 func (e *Environment) SweepScan(start, step time.Duration) *constellation.SweepScan {
 	return e.Constellation.SweepScan(start, step)
-}
-
-// Path returns a memoized LSN path for a client. Path resolution is
-// deterministic, so a concurrent duplicate computation stores an identical
-// value and the cache never affects results — only wall time.
-func (e *Environment) Path(loc geo.Point, iso string, t time.Duration) (lsn.Path, error) {
-	k := pathKey{lat: loc.LatDeg, lon: loc.LonDeg, iso: iso, t: t}
-	e.mu.Lock()
-	p, ok := e.pathCache.get(k)
-	e.mu.Unlock()
-	if ok {
-		e.pathHits.Add(1)
-		return p, nil
-	}
-	e.pathMisses.Add(1)
-	p, err := e.LSN.ResolvePath(loc, iso, e.Snapshot(t))
-	if err != nil {
-		return lsn.Path{}, err
-	}
-	e.mu.Lock()
-	p = e.pathCache.put(k, p)
-	e.mu.Unlock()
-	return p, nil
-}
-
-// CacheCounters returns the environment's memoization effectiveness:
-// snapshot-cache and path-cache hits and misses.
-func (e *Environment) CacheCounters() (snapHits, snapMisses, pathHits, pathMisses int64) {
-	return e.snapHits.Load(), e.snapMisses.Load(), e.pathHits.Load(), e.pathMisses.Load()
-}
-
-// SetTelemetry exports the environment's cache effectiveness as gauges,
-// sampled by a collector at exposition time (the counters are cheap to read
-// but pointless to push per lookup). Nil detaches nothing — collectors only
-// Set gauges, so a detached registry simply stops being read.
-func (e *Environment) SetTelemetry(t *telemetry.Telemetry) {
-	if t == nil {
-		return
-	}
-	reg := t.Registry()
-	snapHits := reg.Gauge("measure_snap_cache_hits")
-	snapMisses := reg.Gauge("measure_snap_cache_misses")
-	pathHits := reg.Gauge("measure_path_cache_hits")
-	pathMisses := reg.Gauge("measure_path_cache_misses")
-	reg.RegisterCollector(func() {
-		sh, sm, ph, pm := e.CacheCounters()
-		snapHits.Set(float64(sh))
-		snapMisses.Set(float64(sm))
-		pathHits.Set(float64(ph))
-		pathMisses.Set(float64(pm))
-	})
 }
 
 // SpeedTest is one synthetic AIM record.
@@ -241,7 +168,7 @@ func (e *Environment) GenerateAIM(cfg AIMConfig) ([]SpeedTest, error) {
 			jobs = append(jobs, j)
 		}
 	}
-	// Warm the snapshot cache before the fan-out so jobs mostly read it.
+	// Build the snapshots before the fan-out so jobs only read them.
 	for _, at := range cfg.Snapshots {
 		e.Snapshot(at)
 	}
@@ -299,7 +226,7 @@ func (e *Environment) terrestrialTests(city geo.City, cfg AIMConfig, rng *stats.
 func (e *Environment) starlinkTests(city geo.City, cfg AIMConfig, rng *stats.Rand) ([]SpeedTest, error) {
 	var out []SpeedTest
 	for _, at := range cfg.Snapshots {
-		path, err := e.Path(city.Loc, city.Country, at)
+		path, err := e.LSN.ResolvePath(city.Loc, city.Country, e.Snapshot(at))
 		if err != nil {
 			// No coverage at this instant (e.g. extreme latitude): skip.
 			continue

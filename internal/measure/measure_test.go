@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"spacecdn/internal/stats"
 )
 
 // The environment is expensive (1,584-satellite constellation); share one
@@ -270,23 +268,5 @@ func TestAIMDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("records differ at %d: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestPathMemoization(t *testing.T) {
-	e := testEnv(t)
-	c := stats.NewRand(0)
-	_ = c
-	loc := mustLoc(t, "Nairobi, KE")
-	p1, err := e.Path(loc, "KE", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := e.Path(loc, "KE", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("memoized paths differ")
 	}
 }

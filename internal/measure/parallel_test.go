@@ -2,9 +2,11 @@ package measure
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"spacecdn/internal/constellation"
 	"spacecdn/internal/geo"
 )
 
@@ -74,27 +76,47 @@ func TestRunNetMetWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestEnvironmentCachesUnderConcurrency hammers the memoized Snapshot and
-// Path accessors from parallel goroutines; it exists to fail under -race if
-// the cache maps lose their locking.
-func TestEnvironmentCachesUnderConcurrency(t *testing.T) {
-	e := testEnv(t)
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+// TestSnapshotSharedUnderConcurrency: goroutines asking for the same instant
+// all get the one stored *Snapshot (first store wins), goroutines asking for
+// different instants get different ones, and a path resolves on every one.
+// Under -race it also fails if the snapshot table loses its locking.
+func TestSnapshotSharedUnderConcurrency(t *testing.T) {
+	// A fresh, empty snapshot table over the shared models, so every run
+	// (-count) has the goroutines race to build the instants, not read them.
+	base := testEnv(t)
+	e := &Environment{
+		Constellation: base.Constellation,
+		LSN:           base.LSN,
+		snaps:         make(map[time.Duration]*constellation.Snapshot),
+	}
+	instants := []time.Duration{0, 19 * time.Minute, 38 * time.Minute}
+	const workers = 8
+	got := make([]*constellation.Snapshot, workers)
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
 		go func(g int) {
-			at := time.Duration(g%3) * 19 * time.Minute
-			if e.Snapshot(at) == nil {
-				done <- nil
-				return
-			}
+			defer wg.Done()
+			<-start
+			got[g] = e.Snapshot(instants[g%len(instants)])
 			loc := geo.NewPoint(50.11+float64(g%2), 8.68)
-			_, err := e.Path(loc, "DE", at)
-			done <- err
+			_, errs[g] = e.LSN.ResolvePath(loc, "DE", got[g])
 		}(g)
 	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
+	close(start)
+	wg.Wait()
+	for g := 0; g < workers; g++ {
+		if errs[g] != nil {
+			t.Errorf("goroutine %d: ResolvePath: %v", g, errs[g])
 		}
+		if want := e.Snapshot(instants[g%len(instants)]); got[g] != want {
+			t.Errorf("goroutine %d got snapshot %p for %v, want the stored %p",
+				g, got[g], instants[g%len(instants)], want)
+		}
+	}
+	if got[0] == got[1] || got[1] == got[2] || got[0] == got[2] {
+		t.Error("different instants share a snapshot")
 	}
 }

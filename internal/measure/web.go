@@ -127,7 +127,7 @@ func (e *Environment) netmetCountry(iso string, country geo.Country, city geo.Ci
 	if !country.Starlink {
 		return out, nil
 	}
-	path, err := e.Path(city.Loc, iso, cfg.Snapshot)
+	path, err := e.LSN.ResolvePath(city.Loc, iso, e.Snapshot(cfg.Snapshot))
 	if err != nil {
 		return out, nil
 	}

@@ -1,9 +1,6 @@
 package routing
 
-import (
-	"math/bits"
-	"time"
-)
+import "math/bits"
 
 // Bitset is a dense node-membership set over graph nodes 0..N-1, one bit per
 // node. The resolve hot path keeps replica locations and duty-cycle active
@@ -88,8 +85,8 @@ func (g *Graph) NearestInSet(src NodeID, maxHops int, members, active Bitset) (H
 	inSet := func(n int32) bool {
 		return members.Test(int(n)) && (active == nil || active.Test(int(n)))
 	}
-	defer bfsDone(time.Now())
 	if inSet(int32(src)) {
+		bfsDone(1)
 		return HopResult{Node: src, Hops: 0}, true
 	}
 	sc := getScratch(len(g.adj))
@@ -107,11 +104,13 @@ func (g *Graph) NearestInSet(src NodeID, maxHops int, members, active Bitset) (H
 				}
 				sc.mark(to, float64(h), -1)
 				if inSet(to) {
+					bfsDone(len(sc.queue) + 1)
 					return HopResult{Node: e.To, Hops: h}, true
 				}
 				sc.queue = append(sc.queue, to)
 			}
 		}
 	}
+	bfsDone(len(sc.queue))
 	return HopResult{}, false
 }

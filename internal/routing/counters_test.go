@@ -29,14 +29,21 @@ func TestOpCounters(t *testing.T) {
 	if c.BFSSearches != 3 {
 		t.Errorf("BFSSearches = %d, want 3", c.BFSSearches)
 	}
-	if c.DijkstraNanos < 0 || c.BFSNanos < 0 {
-		t.Errorf("negative wall time: %+v", c)
+	// The path 0-1-2-3: ShortestPath(0, 3) settles all four nodes before it
+	// stops at 3, and ShortestPathsFrom(0) settles all four again.
+	if c.DijkstraSettled != 8 {
+		t.Errorf("DijkstraSettled = %d, want 4 + 4", c.DijkstraSettled)
+	}
+	// WithinHops(0, 2) reaches 0, 1, 2; NearestMatch for 3 reaches 0..3;
+	// HopDistance(0, 2) reaches 0, 1, 2, stopping at its match.
+	if c.BFSVisited != 3+4+3 {
+		t.Errorf("BFSVisited = %d, want 3 + 4 + 3", c.BFSVisited)
 	}
 
 	// Out-of-range calls short-circuit before counting.
 	_ = g.ShortestPathsFrom(99)
 	_ = g.WithinHops(99, 1)
-	if c2 := Counters(); c2.Dijkstras != c.Dijkstras || c2.BFSSearches != c.BFSSearches {
+	if c2 := Counters(); c2 != c {
 		t.Errorf("invalid inputs must not count: %+v vs %+v", c2, c)
 	}
 

@@ -8,9 +8,9 @@ import (
 
 // TestSPTreeFrontierRuleOutTakesNoLock: once the search has passed a budget,
 // a query within it for an unsettled node is refused off the published
-// frontier — with the tree's mutex held by someone else, without a clock
-// read (DijkstraNanos does not move), and without settling anything. Settled
-// nodes answer under the same conditions.
+// frontier — with the tree's mutex held by someone else, and without
+// settling anything (DijkstraSettled does not move). Settled nodes answer
+// under the same conditions.
 func TestSPTreeFrontierRuleOutTakesNoLock(t *testing.T) {
 	g := grid(20, 20)
 	tree := g.SPTreeFrom(0)

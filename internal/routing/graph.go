@@ -7,7 +7,6 @@ package routing
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"spacecdn/internal/parallel"
 )
@@ -18,51 +17,53 @@ import (
 // telemetry collectors export as gauges. Every request on every core adds to
 // them, so they are striped: an operation adds to the slot its P's hint
 // selects (parallel.StripeHint — a search owns no per-goroutine state to
-// take an index from) and Counters sums the slots. The per-op overhead is
-// two clock reads, the hint and two uncontended adds; a resumed SPTree pays
-// them only when it actually settles nodes.
+// take an index from) and Counters sums the slots. They count work, not
+// time: the per-op overhead is the hint and two uncontended adds, and a
+// resumed SPTree pays them only when it actually settles nodes.
 var ops struct {
-	dijkstras     parallel.Striped
-	dijkstraNanos parallel.Striped
-	bfsSearches   parallel.Striped
-	bfsNanos      parallel.Striped
+	dijkstras       parallel.Striped
+	dijkstraSettled parallel.Striped
+	bfsSearches     parallel.Striped
+	bfsVisited      parallel.Striped
 }
 
-// bfsDone accounts one bounded-hop search begun at start.
-func bfsDone(start time.Time) {
+// bfsDone accounts one bounded-hop search that reached visited nodes.
+func bfsDone(visited int) {
 	stripe := parallel.StripeHint()
 	ops.bfsSearches.Add(stripe, 1)
-	ops.bfsNanos.Add(stripe, int64(time.Since(start)))
+	ops.bfsVisited.Add(stripe, int64(visited))
 }
 
 // OpStats is a snapshot of the package-wide path-computation counters.
 type OpStats struct {
 	// Dijkstras counts weighted shortest-path runs (single-target and
-	// all-targets alike); DijkstraNanos is their summed wall time.
-	Dijkstras     int64
-	DijkstraNanos int64
+	// all-targets alike, one per SPTree rooted); DijkstraSettled counts the
+	// nodes they settled (popped off the heap with a final distance).
+	Dijkstras       int64
+	DijkstraSettled int64
 	// BFSSearches counts bounded-hop searches (WithinHops, NearestMatch,
-	// HopDistance); BFSNanos is their summed wall time.
+	// NearestInSet, HopDistance); BFSVisited counts the nodes they reached,
+	// the source included.
 	BFSSearches int64
-	BFSNanos    int64
+	BFSVisited  int64
 }
 
 // Counters returns the current process-wide op counters.
 func Counters() OpStats {
 	return OpStats{
-		Dijkstras:     ops.dijkstras.Load(),
-		DijkstraNanos: ops.dijkstraNanos.Load(),
-		BFSSearches:   ops.bfsSearches.Load(),
-		BFSNanos:      ops.bfsNanos.Load(),
+		Dijkstras:       ops.dijkstras.Load(),
+		DijkstraSettled: ops.dijkstraSettled.Load(),
+		BFSSearches:     ops.bfsSearches.Load(),
+		BFSVisited:      ops.bfsVisited.Load(),
 	}
 }
 
 // ResetCounters zeroes the op counters (test isolation).
 func ResetCounters() {
 	ops.dijkstras.Reset()
-	ops.dijkstraNanos.Reset()
+	ops.dijkstraSettled.Reset()
 	ops.bfsSearches.Reset()
-	ops.bfsNanos.Reset()
+	ops.bfsVisited.Reset()
 }
 
 // NodeID identifies a vertex. Satellite graphs use dense indices, so the
@@ -200,11 +201,11 @@ func (g *Graph) ShortestPathsFrom(src NodeID) []float64 {
 // early when stopAt is settled (pass -1 to settle everything). The caller
 // must own sc and read results through the same epoch.
 func (g *Graph) runDijkstra(sc *scratch, src, stopAt NodeID) {
-	start := time.Now()
+	var settled int64
 	defer func() {
 		stripe := parallel.StripeHint()
 		ops.dijkstras.Add(stripe, 1)
-		ops.dijkstraNanos.Add(stripe, int64(time.Since(start)))
+		ops.dijkstraSettled.Add(stripe, settled)
 	}()
 	sc.mark(int32(src), 0, -1)
 	sc.heap.push(int32(src), 0)
@@ -213,6 +214,7 @@ func (g *Graph) runDijkstra(sc *scratch, src, stopAt NodeID) {
 		if it.dist > sc.dist[it.node] {
 			continue // stale entry
 		}
+		settled++
 		if NodeID(it.node) == stopAt {
 			return
 		}
@@ -258,7 +260,6 @@ func (g *Graph) WithinHops(src NodeID, maxHops int) []HopResult {
 	if src < 0 || int(src) >= len(g.adj) || maxHops < 0 {
 		return nil
 	}
-	defer bfsDone(time.Now())
 	sc := getScratch(len(g.adj))
 	defer putScratch(sc)
 	sc.mark(int32(src), 0, -1)
@@ -278,6 +279,7 @@ func (g *Graph) WithinHops(src NodeID, maxHops int) []HopResult {
 			}
 		}
 	}
+	bfsDone(len(sc.queue))
 	return out
 }
 
@@ -289,8 +291,8 @@ func (g *Graph) NearestMatch(src NodeID, maxHops int, match func(NodeID) bool) (
 	if src < 0 || int(src) >= len(g.adj) || maxHops < 0 || match == nil {
 		return HopResult{}, false
 	}
-	defer bfsDone(time.Now())
 	if match(src) {
+		bfsDone(1)
 		return HopResult{Node: src, Hops: 0}, true
 	}
 	sc := getScratch(len(g.adj))
@@ -308,12 +310,14 @@ func (g *Graph) NearestMatch(src NodeID, maxHops int, match func(NodeID) bool) (
 				}
 				sc.mark(to, float64(h), -1)
 				if match(e.To) {
+					bfsDone(len(sc.queue) + 1)
 					return HopResult{Node: e.To, Hops: h}, true
 				}
 				sc.queue = append(sc.queue, to)
 			}
 		}
 	}
+	bfsDone(len(sc.queue))
 	return HopResult{}, false
 }
 

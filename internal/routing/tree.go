@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"spacecdn/internal/parallel"
 )
@@ -119,10 +118,11 @@ func (t *SPTree) settle(n int32, budget float64) bool {
 	if t.heap[0].dist > budget {
 		return false // the frontier moved past budget since the caller read it
 	}
-	start := time.Now()
+	var popped int64
 	for !t.settled(n) && t.heap[0].dist <= budget {
 		it := t.heap.pop()
 		if it.dist <= t.dist[it.node] { // else a stale entry
+			popped++
 			// dist/prev of a popped node never change again: publish it.
 			w := &t.done[it.node>>5]
 			w.Store(w.Load() | 1<<uint(it.node&31))
@@ -149,7 +149,7 @@ func (t *SPTree) settle(n int32, budget float64) bool {
 		frontier = t.heap[0].dist
 	}
 	t.frontier.Store(math.Float64bits(frontier))
-	ops.dijkstraNanos.Add(parallel.StripeHint(), int64(time.Since(start)))
+	ops.dijkstraSettled.Add(parallel.StripeHint(), popped)
 	return t.settled(n)
 }
 

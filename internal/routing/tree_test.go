@@ -198,20 +198,23 @@ func TestLazyTreeConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// The bench reads routing.dijkstra_per_req and the Dijkstra wall time off the
-// package counters: one Dijkstra per tree rooted, however many queries resume
-// it, and the time spent settling accumulated where it is spent.
+// The bench reads routing.dijkstra_per_req off the package counters: one
+// Dijkstra per tree rooted, however many queries resume it. DijkstraSettled
+// counts the nodes popped, each exactly once: rooting pops nothing; Dist(800)
+// pops node 800 and everything nearer, but not the nodes beyond it; a query
+// on a settled node pops nothing; and settling the whole connected Shell 1
+// graph pops every node once, so the total is g.Len().
 func TestLazyTreeCounters(t *testing.T) {
 	g := shell1Graph(t)
 	routing.ResetCounters()
 	tree := g.SPTreeFrom(0)
-	if c := routing.Counters(); c.Dijkstras != 1 || c.DijkstraNanos != 0 {
-		t.Fatalf("after rooting: %+v, want one Dijkstra and no settling time", c)
+	if c := routing.Counters(); c.Dijkstras != 1 || c.DijkstraSettled != 0 {
+		t.Fatalf("after rooting: %+v, want one Dijkstra and nothing settled", c)
 	}
 	tree.Dist(800)
 	first := routing.Counters()
-	if first.Dijkstras != 1 || first.DijkstraNanos <= 0 {
-		t.Fatalf("after the first query: %+v, want one Dijkstra with settling time", first)
+	if first.Dijkstras != 1 || first.DijkstraSettled <= 0 || first.DijkstraSettled >= int64(g.Len()) {
+		t.Fatalf("after Dist(800): %+v, want one Dijkstra settling between 1 and %d nodes", first, g.Len()-1)
 	}
 	tree.Dist(800)
 	tree.HopsTo(800)
@@ -219,10 +222,12 @@ func TestLazyTreeCounters(t *testing.T) {
 		t.Fatalf("queries on settled nodes moved the counters: %+v -> %+v", first, c)
 	}
 	for n := 0; n < g.Len(); n++ {
-		tree.Dist(routing.NodeID(n))
+		if !tree.Reachable(routing.NodeID(n)) {
+			t.Fatalf("node %d unreachable: the Shell 1 graph must be connected", n)
+		}
 	}
-	if c := routing.Counters(); c.Dijkstras != 1 || c.DijkstraNanos <= first.DijkstraNanos {
-		t.Fatalf("after settling everything: %+v, want one Dijkstra and more time than %d", c, first.DijkstraNanos)
+	if c := routing.Counters(); c.Dijkstras != 1 || c.DijkstraSettled != int64(g.Len()) {
+		t.Fatalf("after settling everything: %+v, want one Dijkstra that settled all %d nodes", c, g.Len())
 	}
 	if g.SPTreeFrom(-1) != nil {
 		t.Fatal("out-of-range source must root nothing")

@@ -136,9 +136,9 @@ func (s *System) SetTelemetry(t *telemetry.Telemetry) {
 	tierPromotions := reg.Gauge("spacecdn_tier_promotions")
 	tierDemotions := reg.Gauge("spacecdn_tier_demotions")
 	dijkstras := reg.Gauge("routing_dijkstras_total")
-	dijkstraMs := reg.Gauge("routing_dijkstra_ms_total")
+	dijkstraSettled := reg.Gauge("routing_dijkstra_settled_total")
 	bfs := reg.Gauge("routing_bfs_searches_total")
-	bfsMs := reg.Gauge("routing_bfs_ms_total")
+	bfsVisited := reg.Gauge("routing_bfs_visited_total")
 	memoHits := reg.Gauge("constellation_path_memo_hits_total")
 	memoMisses := reg.Gauge("constellation_path_memo_misses_total")
 	reg.RegisterCollector(func() {
@@ -184,9 +184,9 @@ func (s *System) SetTelemetry(t *telemetry.Telemetry) {
 		}
 		ops := routing.Counters()
 		dijkstras.Set(float64(ops.Dijkstras))
-		dijkstraMs.Set(float64(ops.DijkstraNanos) / float64(time.Millisecond))
+		dijkstraSettled.Set(float64(ops.DijkstraSettled))
 		bfs.Set(float64(ops.BFSSearches))
-		bfsMs.Set(float64(ops.BFSNanos) / float64(time.Millisecond))
+		bfsVisited.Set(float64(ops.BFSVisited))
 		// Memo counters are per constellation, so a process running several
 		// systems (multi-shell scale sweeps) reports this system's own
 		// effectiveness rather than a process-wide aggregate.

@@ -18,9 +18,14 @@
 #          Resolve, ResolveAt (inline and applier) and ResolveAll share one
 #          pipeline body, so it should see more than one GOMAXPROCS too; and
 #          the daemon's connection tests (in-place /resolve loop, handover to
-#          net/http, Close) at -count=3 -cpu 1,2,4
+#          net/http, Close) at -count=3 -cpu 1,2,4; and the measurement
+#          environment's snapshot table (first store wins under concurrent
+#          callers) at -count=10 -cpu 1,2,4
 #   fuzz   10 s of FuzzResolveQuery: the in-place /resolve query parser
 #          against url.ParseQuery and the coordinate check
+#   determinism  build cmd/spacecdn once, run every experiment (-exp all
+#          -json) at -workers 1 and at -workers 4, and require byte-identical
+#          output
 #   benchmod  vet and test the repository benchmark (bench/), a nested module
 #          the root `go test ./...` never sees
 #   smoke  CLI run asserting the telemetry artifact parses with non-zero
@@ -53,7 +58,7 @@
 # internal/experiments/testdata/golden.json.
 #
 # No arguments runs the full local gate: fmt vet build staticcheck test
-# benchmod race fuzz smoke observe examples.
+# determinism benchmod race fuzz smoke observe examples.
 # The script is non-interactive and exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -94,6 +99,19 @@ stage_race() {
 		./internal/routing ./internal/constellation ./internal/telemetry ./internal/parallel
 	go test -race -count=3 -cpu 1,2,4 -run 'ResolveAt|Lifecycle|Applier|Stress' ./internal/spacecdn ./internal/serve
 	go test -race -count=3 -cpu 1,2,4 -run 'FastPath|Handover|Close' ./internal/serve
+	go test -race -count=10 -cpu 1,2,4 -run 'SnapshotSharedUnderConcurrency' ./internal/measure
+}
+
+stage_determinism() {
+	out=$(mktemp -d)
+	trap 'rm -rf "$out"' EXIT
+	go build -o "$out/spacecdn" ./cmd/spacecdn
+	"$out/spacecdn" -exp all -json -workers 1 >"$out/w1.json"
+	"$out/spacecdn" -exp all -json -workers 4 >"$out/w4.json"
+	if ! cmp "$out/w1.json" "$out/w4.json"; then
+		echo "-exp all -json differs between -workers 1 and -workers 4" >&2
+		exit 1
+	fi
 }
 
 stage_fuzz() {
@@ -193,12 +211,12 @@ stage_examples() {
 
 stages="$*"
 if [ -z "$stages" ]; then
-	stages="fmt vet build staticcheck test benchmod race fuzz smoke observe examples"
+	stages="fmt vet build staticcheck test determinism benchmod race fuzz smoke observe examples"
 fi
 
 for stage in $stages; do
 	case "$stage" in
-	fmt | vet | build | staticcheck | test | benchmod | race | fuzz | smoke | observe | bench | serve | lifecycle | examples) ;;
+	fmt | vet | build | staticcheck | test | determinism | benchmod | race | fuzz | smoke | observe | bench | serve | lifecycle | examples) ;;
 	*)
 		echo "verify: unknown stage '$stage'" >&2
 		exit 2
