@@ -583,7 +583,8 @@ func BenchmarkResolveOnceParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := serve.New(sys, serve.Config{Seed: 1, TraceSample: 0.01})
+	sys.SetTelemetry(telemetry.New(0.01))
+	srv, err := serve.New(sys, serve.Config{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

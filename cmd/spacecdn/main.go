@@ -186,7 +186,7 @@ func run(w io.Writer, opts options) error {
 		fmt.Fprintln(w)
 	}
 	if opts.MetricsOut != "" {
-		if err := writeMetrics(tel, opts.MetricsOut); err != nil {
+		if err := tel.WriteFile(opts.MetricsOut); err != nil {
 			return fmt.Errorf("metrics-out: %w", err)
 		}
 		fmt.Fprintf(w, "telemetry written to %s\n", opts.MetricsOut)
@@ -255,25 +255,6 @@ func containsID(ids []string, want string) bool {
 		}
 	}
 	return false
-}
-
-// writeMetrics exports the run's telemetry, choosing the format from the
-// file extension: Prometheus text for .prom/.txt, JSON snapshot otherwise.
-func writeMetrics(tel *telemetry.Telemetry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch {
-	case strings.HasSuffix(path, ".prom"), strings.HasSuffix(path, ".txt"):
-		err = tel.WritePrometheus(f)
-	default:
-		err = tel.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func geoCity(name string) (geo.City, bool) { return geo.CityByName(name) }

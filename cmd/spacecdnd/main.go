@@ -42,7 +42,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -160,30 +159,10 @@ func run(w io.Writer, opts options, stop <-chan struct{}) error {
 		return err
 	}
 	if opts.MetricsOut != "" {
-		if err := writeMetrics(srv.Telemetry(), opts.MetricsOut); err != nil {
+		if err := srv.Telemetry().WriteFile(opts.MetricsOut); err != nil {
 			return fmt.Errorf("metrics-out: %w", err)
 		}
 		fmt.Fprintf(w, "telemetry written to %s\n", opts.MetricsOut)
 	}
 	return nil
-}
-
-// writeMetrics exports the daemon's telemetry, choosing the format from
-// the file extension like cmd/spacecdn: Prometheus text for .prom/.txt,
-// JSON snapshot otherwise.
-func writeMetrics(tel *telemetry.Telemetry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch {
-	case strings.HasSuffix(path, ".prom"), strings.HasSuffix(path, ".txt"):
-		err = tel.WritePrometheus(f)
-	default:
-		err = tel.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

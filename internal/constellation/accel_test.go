@@ -1,7 +1,6 @@
 package constellation
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -235,7 +234,7 @@ func TestVisGridCandidateWindowsAreConservative(t *testing.T) {
 	// candidate — otherwise grid results could silently miss satellites.
 	c := MustNew(DefaultConfig())
 	snap := c.Snapshot(7 * time.Minute)
-	vg := snap.visGridLazy()
+	vg := snap.grid
 	maxSlant := geo.SlantRangeKm(c.cfg.Walker.AltitudeKm, c.cfg.MinElevationDeg)
 	rng := rand.New(rand.NewSource(45))
 	for _, pt := range randomPoints(rng, 40) {
@@ -257,9 +256,7 @@ func TestVisGridCandidateWindowsAreConservative(t *testing.T) {
 }
 
 func TestVisGridEmptyConstellationNearest(t *testing.T) {
-	gm := newGridGeom(0)
-	vg := &visGrid{geom: gm,
-		start: make([]int32, gm.rows*gm.cols+1), minR: math.Inf(1)}
+	vg := newVisGrid(&Snapshot{c: &Constellation{geom: newGridGeom(0)}})
 	if lam := vg.maxCentralAngleRad(geo.EarthRadiusKm, 1000); lam != 0 {
 		t.Fatalf("empty grid central angle = %v, want 0", lam)
 	}
@@ -281,7 +278,7 @@ func BenchmarkBestVisibleGrid(b *testing.B) {
 	c := MustNew(DefaultConfig())
 	snap := c.Snapshot(0)
 	pt := geo.NewPoint(40.7, -74)
-	grid := snap.visGridLazy()
+	grid := snap.grid
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

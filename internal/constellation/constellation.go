@@ -97,8 +97,8 @@ type shellSpan struct {
 }
 
 // Constellation owns the satellite set. It is immutable after construction
-// and safe for concurrent use; the lazily built ISL topology and the sweep
-// cursor pool are internal caches of immutable derived state.
+// and safe for concurrent use; the lazily built ISL topology is an internal
+// cache of immutable derived state.
 type Constellation struct {
 	cfg      Config
 	shells   []shellSpan // always >= 1; single-shell configs normalize to one span
@@ -112,8 +112,6 @@ type Constellation struct {
 
 	topoOnce sync.Once
 	topo     *islTopology // time-invariant +grid CSR structure, built once
-
-	sweepPool sync.Pool // recycled *Sweep cursors with their pooled buffers
 }
 
 // New builds a constellation from the configuration.
@@ -244,17 +242,22 @@ func (c *Constellation) ID(plane, slot int) SatID {
 // Elements returns the orbital elements of a satellite.
 func (c *Constellation) Elements(id SatID) orbit.Elements { return c.elements[id] }
 
-// Snapshot captures every satellite position at time t after epoch.
+// Snapshot captures every satellite position at time t after epoch and
+// builds the visibility grid over them, so the snapshot is handed out ready
+// for ground queries.
 func (c *Constellation) Snapshot(t time.Duration) *Snapshot {
-	pos := make([]geo.Vec3, len(c.elements))
-	c.eng.positionsInto(t, pos)
-	return &Snapshot{c: c, t: t, pos: pos}
+	s := &Snapshot{c: c, t: t, pos: make([]geo.Vec3, len(c.elements))}
+	c.eng.positionsInto(t, s.pos)
+	s.grid = newVisGrid(s)
+	return s
 }
 
 // Snapshot is the constellation geometry frozen at one instant. It is
 // immutable and safe for concurrent use. The ISL graph is built lazily on
 // first request and cached; the lazy build is guarded by a sync.Once so
 // concurrent first callers (parallel request shards) share one build.
+// Callers that must hand out a finished topology force it (spacecdn's
+// NewEpoch and ResolveAll).
 type Snapshot struct {
 	c   *Constellation
 	t   time.Duration
@@ -264,8 +267,7 @@ type Snapshot struct {
 	islGraph *routing.Graph // built once on first ISLGraph call
 	islW     []float64      // per-link weight buffer backing islGraph, topology edge order
 
-	gridOnce sync.Once
-	grid     *visGrid // lat/lon cell index, built once on first visibility query
+	grid *visGrid // lat/lon cell index, built with the snapshot
 
 	// memoGen distinguishes sweep steps in the ground-point memo: a sweep
 	// cursor mutates its snapshot in place and bumps the generation each
@@ -485,7 +487,7 @@ type VisibleSat struct {
 // satellites could be within slant range; the result is identical to
 // VisibleScan's full scan.
 func (s *Snapshot) Visible(ground geo.Point) []VisibleSat {
-	return s.visGridLazy().visible(s, ground)
+	return s.grid.visible(s, ground)
 }
 
 // VisibleScan is the reference implementation of Visible: a linear scan over
@@ -541,7 +543,7 @@ func (s *Snapshot) BestVisibleScan(ground geo.Point) (VisibleSat, bool) {
 // non-empty constellation. The grid-backed search widens its angular window
 // until the best candidate provably beats everything outside the window.
 func (s *Snapshot) Nearest(ground geo.Point) VisibleSat {
-	return s.visGridLazy().nearest(s, ground)
+	return s.grid.nearest(s, ground)
 }
 
 // NearestScan is the reference implementation of Nearest: a linear scan over
@@ -576,7 +578,7 @@ type OverheadWindow struct {
 
 // OverheadWindows computes serving windows for a ground point by sampling.
 // Step must be positive; typical values are 5-30 seconds. The sampling runs
-// over a pooled sweep cursor, so the per-step cost is the incremental world
+// over a sweep cursor, so the per-step cost is the incremental world
 // update rather than a fresh snapshot build.
 func (c *Constellation) OverheadWindows(ground geo.Point, from, to, step time.Duration) []OverheadWindow {
 	if step <= 0 || to <= from {

@@ -20,10 +20,9 @@ const (
 	// is the fixed ground segment plus the client cities — under two hundred
 	// points at the default scale — so the cap only matters for pathological
 	// query mixes, where excess points are simply served unmemoized. It also
-	// sizes the table (8 KB of slots, allocated on a snapshot's first
-	// visibility query): fresh snapshots are built by the thousand, most of
-	// them to answer a handful of queries, so the memo has to stay small next
-	// to the position array it sits beside.
+	// sizes the table: 8 KB of slots, allocated on a snapshot's first
+	// visibility query, small next to the position array and grid it sits
+	// beside.
 	visMemoCap = groundMemoSlots / 2
 )
 
@@ -63,10 +62,10 @@ type groundMemo struct {
 // current generation, electing its best satellite with the grid query on a
 // miss. Entries of past generations — a sweep cursor bumps memoGen on every
 // advance — are never served and are overwritten where they sit, so an
-// advance retires the whole memo without touching it. Generations only grow
-// over a pooled cursor's lifetime (Constellation.Sweep), so a recycled
-// cursor cannot meet its own past. Returns nil when the memo is full and the
-// point is not in it; the caller then answers unmemoized.
+// advance retires the whole memo without touching it; generations only grow
+// over a cursor's lifetime, so an entry is never met again. Returns nil when
+// the memo is full and the point is not in it; the caller then answers
+// unmemoized.
 func (s *Snapshot) groundPoint(ground geo.Point) *groundPoint {
 	lat, lon := math.Float64bits(ground.LatDeg), math.Float64bits(ground.LonDeg)
 	m := &s.ground
@@ -96,7 +95,7 @@ func (s *Snapshot) groundPoint(ground geo.Point) *groundPoint {
 		}
 		if fresh == nil {
 			fresh = &groundPoint{lat: lat, lon: lon, gen: gen}
-			fresh.best, fresh.ok = s.visGridLazy().bestVisible(s, ground)
+			fresh.best, fresh.ok = s.grid.bestVisible(s, ground)
 		}
 		if slot.CompareAndSwap(e, fresh) {
 			return fresh
@@ -144,7 +143,7 @@ func (s *Snapshot) BestVisible(ground geo.Point) (VisibleSat, bool) {
 	if e := s.groundPoint(ground); e != nil {
 		return e.best, e.ok
 	}
-	return s.visGridLazy().bestVisible(s, ground)
+	return s.grid.bestVisible(s, ground)
 }
 
 // VisibleShared returns the same elevation-sorted list as Visible, memoized

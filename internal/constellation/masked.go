@@ -2,7 +2,6 @@ package constellation
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"spacecdn/internal/geo"
@@ -32,26 +31,28 @@ func NormalizedLink(a, b SatID) LinkID {
 //
 // Views are cached per epoch on the snapshot and shared by all callers, so
 // per-request resolution reuses one masked graph build per (snapshot, fault
-// state). Immutable and safe for concurrent use.
+// state). A degraded view is built together with its masked graph, so it is
+// finished when handed out. Immutable and safe for concurrent use.
 type MaskedView struct {
 	snap      *Snapshot
 	epoch     uint64
 	deadSats  routing.Bitset
 	deadLinks map[LinkID]bool
 
-	islOnce  sync.Once
-	islGraph *routing.Graph
-	trees    pathTrees // trees over the masked graph; unused by a pass-through view
+	islGraph *routing.Graph // masked graph; nil for a pass-through view
+	trees    pathTrees      // trees over the masked graph; unused by a pass-through view
 }
 
 // Masked returns the fault-aware view of this snapshot for the given fault
 // epoch. The first call for an epoch captures the masks; later calls return
 // the cached view, so callers must pass the same masks for the same epoch —
 // the epoch identifies a fault state, the masks describe it (faults.Plan
-// maintains exactly this invariant). Empty masks return a pass-through view
-// that shares the healthy graph and path trees. A non-empty mask with
-// epoch 0 is a caller bug — epoch 0 is reserved for the healthy topology —
-// and panics rather than silently caching a degraded view under it.
+// maintains exactly this invariant). A degraded view's first call builds its
+// masked ISL graph before returning, so every holder of the view reads a
+// finished topology. Empty masks return a pass-through view that shares the
+// healthy graph and path trees. A non-empty mask with epoch 0 is a caller
+// bug — epoch 0 is reserved for the healthy topology — and panics rather
+// than silently caching a degraded view under it.
 func (s *Snapshot) Masked(epoch uint64, deadSats routing.Bitset, deadLinks []LinkID) *MaskedView {
 	if !deadSats.Any() && len(deadLinks) == 0 {
 		epoch = 0
@@ -73,6 +74,9 @@ func (s *Snapshot) Masked(epoch uint64, deadSats routing.Bitset, deadLinks []Lin
 				v.deadLinks[NormalizedLink(l.A, l.B)] = true
 			}
 		}
+		v.islGraph = s.buildISLGraph(func(lo, hi SatID) bool {
+			return v.deadSats.Test(int(lo)) || v.deadSats.Test(int(hi)) || v.deadLinks[LinkID{A: lo, B: hi}]
+		})
 	}
 	if s.masked == nil {
 		s.masked = make(map[uint64]*MaskedView)
@@ -152,18 +156,13 @@ func (v *MaskedView) BestVisible(ground geo.Point) (VisibleSat, bool) {
 // ISLGraph returns the masked +grid topology: the healthy graph minus every
 // edge with a dead endpoint or a failed link. Dead satellites keep their
 // node ids (ids are positional across the whole codebase) but have no
-// incident edges, so searches can never route through them. Built once per
-// view and shared.
+// incident edges, so searches can never route through them. Built with the
+// view (Masked) and shared; a pass-through view returns the snapshot's
+// healthy graph.
 func (v *MaskedView) ISLGraph() *routing.Graph {
-	v.islOnce.Do(func() {
-		if v.epoch == 0 {
-			v.islGraph = v.snap.ISLGraph()
-			return
-		}
-		v.islGraph = v.snap.buildISLGraph(func(lo, hi SatID) bool {
-			return v.deadSats.Test(int(lo)) || v.deadSats.Test(int(hi)) || v.deadLinks[LinkID{A: lo, B: hi}]
-		})
-	})
+	if v.epoch == 0 {
+		return v.snap.ISLGraph()
+	}
 	return v.islGraph
 }
 

@@ -242,7 +242,7 @@ func TestPolarShellGridMatchesScan(t *testing.T) {
 }
 
 func TestMultiShellSweepMatchesScan(t *testing.T) {
-	// The pooled sweep cursor against the fresh-snapshot reference on a
+	// The sweep cursor against the fresh-snapshot reference on a
 	// multi-shell composite: positions, visibility, ISL graph and path trees
 	// at every step, plus a long jump that migrates satellites across many
 	// cells (and through the polar caps).

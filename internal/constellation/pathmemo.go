@@ -13,8 +13,8 @@ import (
 // city or a ground station (~450 sources at the default scale), each source
 // has exactly one tree per topology, and so the table needs no capacity, no
 // eviction and no key: a hit is a bounds check and an atomic load. Slots are
-// allocated on the topology's first tree (12 KB at 1,584 satellites; most
-// fresh snapshots never root one) and published by compare-and-swap.
+// allocated on the topology's first tree (12 KB at 1,584 satellites; a
+// snapshot never routed over pays nothing) and published by compare-and-swap.
 //
 // The table lives and dies with its topology. A fresh snapshot's trees go
 // with the snapshot; a masked view's go with the view, so a sweep step's

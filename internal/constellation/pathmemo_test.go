@@ -80,11 +80,11 @@ func TestPathTreeTableRacingFirstCallers(t *testing.T) {
 
 // TestPathTreeTableCursorRetires: a sweep cursor's advance empties its table
 // in place — no tree of the step it left stays reachable, let alone served
-// (TestSweepNeverServesATreeAcrossAdvance checks what the next lookup gets) —
-// and so does handing a pooled cursor to its next user.
+// (TestSweepNeverServesATreeAcrossAdvance checks what the next lookup gets).
 func TestPathTreeTableCursorRetires(t *testing.T) {
 	c := MustNew(DefaultConfig())
 	sw := c.Sweep(0, 15*time.Second)
+	defer sw.Close()
 	srcs := []SatID{0, 7, 700, SatID(c.Total() - 1)}
 	for step := 0; step < 3; step++ {
 		snap := sw.At()
@@ -97,16 +97,6 @@ func TestPathTreeTableCursorRetires(t *testing.T) {
 		if held := treesHeld(&sw.Advance().trees); held != 0 {
 			t.Fatalf("step %d: %d trees survived the advance", step, held)
 		}
-	}
-	sw.At().PathTree(3)
-	sw.Close()
-	reused := c.Sweep(time.Hour, 15*time.Second)
-	defer reused.Close()
-	if reused != sw {
-		t.Skip("the pool did not hand the cursor back (a GC emptied it)")
-	}
-	if held := treesHeld(&reused.At().trees); held != 0 {
-		t.Fatalf("a reused cursor starts with %d trees of its previous sweep", held)
 	}
 }
 

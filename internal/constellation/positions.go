@@ -23,7 +23,8 @@ import (
 // per contiguous equal-altitude run (shells are contiguous by construction),
 // so the fast path covers every configuration; a single shell is exactly one
 // group, reproducing the single-shell engine operation for operation. The
-// basis arrays are the pooled SoA layout the sweep advances into.
+// basis arrays are the SoA layout every snapshot's positions are computed
+// from, fresh or advanced in place by the sweep.
 type posEngine struct {
 	groups []posGroup
 

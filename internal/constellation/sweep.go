@@ -3,8 +3,6 @@ package constellation
 import (
 	"fmt"
 	"time"
-
-	"spacecdn/internal/geo"
 )
 
 // Cursor is a monotonic time cursor over the constellation: the common
@@ -27,20 +25,20 @@ type Cursor interface {
 	// AdvanceTo moves to an arbitrary time at or after the current time and
 	// returns the snapshot there. Moving backwards panics.
 	AdvanceTo(t time.Duration) *Snapshot
-	// Close releases the cursor's pooled buffers. Snapshots obtained from
-	// the cursor must not be used after Close.
+	// Close ends the cursor. Snapshots obtained from the cursor must not be
+	// used after Close.
 	Close()
 }
 
 // Sweep is the temporal-coherence engine: a cursor that advances one
-// reusable snapshot in place instead of rebuilding the world each step.
-// Positions are recomputed into the pooled SoA buffer, the visibility grid
-// migrates only the satellites that crossed a cell boundary, the ISL graph
-// (once materialized) has its edge weights refreshed in place over the
-// constellation's shared CSR topology, and the path-tree table is emptied
-// in place. At steady state an advance performs zero allocations, and every
-// query against the advanced snapshot returns results byte-identical to a
-// fresh Snapshot(t).
+// snapshot in place instead of rebuilding the world each step. It starts
+// from an ordinary Snapshot(start); each advance recomputes positions into
+// the snapshot's own buffer, migrates in the visibility grid only the
+// satellites that crossed a cell boundary, refreshes the ISL graph's edge
+// weights (once materialized) in place over the constellation's shared CSR
+// topology, and empties the path-tree table in place. At steady state an
+// advance performs zero allocations, and every query against the advanced
+// snapshot returns results byte-identical to a fresh Snapshot(t).
 //
 // The snapshot returned by At/Advance/AdvanceTo is only valid until the next
 // advance or Close: a sweep trades the immutability of fresh snapshots for
@@ -59,37 +57,9 @@ type Sweep struct {
 }
 
 // Sweep returns a cursor positioned at start. Advance moves by step; pass
-// step 0 for a cursor driven only through AdvanceTo. Cursors are pooled per
-// constellation — Close returns the buffers for reuse, making steady-state
-// sweep construction cheap as well.
+// step 0 for a cursor driven only through AdvanceTo.
 func (c *Constellation) Sweep(start, step time.Duration) *Sweep {
-	w, _ := c.sweepPool.Get().(*Sweep)
-	if w == nil {
-		n := len(c.elements)
-		w = &Sweep{c: c}
-		w.snap = &Snapshot{c: c, pos: make([]geo.Vec3, n)}
-		w.snap.grid = newSweepGrid(c)
-		w.snap.gridOnce.Do(func() {}) // the grid is owned, never lazily built
-	}
-	w.closed = false
-	w.step = step
-	s := w.snap
-	c.eng.positionsInto(start, s.pos)
-	s.t = start
-	s.grid.rebuildLists(s)
-	if s.islGraph != nil {
-		// A pooled cursor keeps its CSR graph across sweeps (the topology
-		// is per-constellation); only the weights need refreshing.
-		s.refreshISLWeights()
-	}
-	// The generation strictly increases across the cursor's whole pooled
-	// lifetime (never reset), so ground-memo entries from an earlier sweep
-	// can never collide with the new one. Fresh snapshots are generation 0;
-	// sweep snapshots always advance past it.
-	s.memoGen++
-	s.trees.retire()
-	s.clearMasked()
-	return w
+	return &Sweep{c: c, step: step, snap: c.Snapshot(start)}
 }
 
 // At returns the snapshot at the cursor's current time.
@@ -111,8 +81,8 @@ func (w *Sweep) Advance() *Snapshot {
 
 // AdvanceTo moves the cursor to time t (at or after the current time) and
 // returns the snapshot there. The update is O(what moved): full position
-// recompute into the pooled buffer (pure arithmetic on the SoA basis), grid
-// migration for boundary crossers only, in-place ISL weight refresh, a
+// recompute into the snapshot's buffer (pure arithmetic on the SoA basis),
+// grid migration for boundary crossers only, in-place ISL weight refresh, a
 // generation bump that retires stale ground-memo entries without touching
 // them, and a clear of the path-tree table.
 func (w *Sweep) AdvanceTo(t time.Duration) *Snapshot {
@@ -138,14 +108,8 @@ func (w *Sweep) AdvanceTo(t time.Duration) *Snapshot {
 	return s
 }
 
-// Close returns the cursor to the constellation's pool. Idempotent.
-func (w *Sweep) Close() {
-	if w.closed {
-		return
-	}
-	w.closed = true
-	w.c.sweepPool.Put(w)
-}
+// Close marks the cursor closed; advancing it afterwards panics. Idempotent.
+func (w *Sweep) Close() { w.closed = true }
 
 // SweepScan is the reference cursor: a fresh immutable Snapshot per
 // position. It is the naive form every Sweep-backed consumer is proven

@@ -198,29 +198,6 @@ func TestSweepNeverServesATreeAcrossAdvance(t *testing.T) {
 	}
 }
 
-// TestSweepPooledReuse proves a cursor recycled through the pool starts a new
-// sweep from clean state: same outputs as an unpooled reference, and memo
-// generations never collide with the previous sweep's entries.
-func TestSweepPooledReuse(t *testing.T) {
-	c := MustNew(DefaultConfig())
-	rng := rand.New(rand.NewSource(23))
-	pts := randomPoints(rng, 6)
-
-	first := c.Sweep(0, time.Minute)
-	first.At().ISLGraph() // materialize so the pooled cursor carries a CSR graph
-	first.Advance()
-	first.Close()
-
-	// Likely the pooled cursor from above; correctness must not depend on it.
-	sw := c.Sweep(7*time.Minute, 20*time.Second)
-	defer sw.Close()
-	sc := c.SweepScan(7*time.Minute, 20*time.Second)
-	assertSnapshotsEquivalent(t, sw.At(), sc.At(), pts)
-	for i := 0; i < 5; i++ {
-		assertSnapshotsEquivalent(t, sw.Advance(), sc.Advance(), pts)
-	}
-}
-
 // TestSweepContractViolationsPanic pins the cursor misuse contract: moving
 // backwards, advancing a stepless cursor, and advancing after Close are all
 // programming errors, not silently wrong answers.

@@ -15,30 +15,21 @@ import (
 // spherical bounds and re-checks each candidate with the exact
 // slant/elevation predicate, so query results are identical to the full scan.
 //
-// The grid has two layouts sharing one query path:
-//
-//   - Counting sort (fresh snapshots): cell (r, c) owns
-//     sats[start[r*cols+c] : start[r*cols+c+1]], ids ascending within a
-//     cell. Immutable after build and shared by concurrent readers.
-//   - Intrusive lists (sweep cursors): head[cell] chains satellites through
-//     next/prev, so migrating a satellite between cells on a sweep step is
-//     O(1) and allocation-free.
-//
-// Query results are identical under either layout: every query re-checks
+// Each cell is an intrusive doubly-linked list over a fixed satellite arena
+// (head[cell] chains satellites through next/prev), so the sweep cursor
+// migrates a satellite between cells in O(1) without allocating. Query
+// results never depend on the order within a cell: every query re-checks
 // candidates with the exact predicate and resolves order via sorts or
-// explicit id tie-breaks, so within-cell order is immaterial.
+// explicit id tie-breaks.
 type visGrid struct {
 	geom       *gridGeom // shared per-constellation cell geometry
-	start      []int32   // len rows*cols+1 prefix offsets into sats
-	sats       []int32
-	minR, maxR float64 // satellite orbital radius bounds, km
+	minR, maxR float64   // satellite orbital radius bounds, km
 
-	// List layout (non-nil head selects it): per-cell doubly-linked lists
-	// over a fixed satellite arena, plus each satellite's current cell as a
-	// (row, col) pair — split so the sweep's hot stayer test never divides
-	// by the runtime column count.
-	head         []int32
-	next, prev   []int32
+	head       []int32
+	next, prev []int32
+	// rowOf/colOf hold each satellite's current cell as a (row, col) pair —
+	// split so the sweep's hot stayer test never divides by the runtime
+	// column count.
 	rowOf, colOf []int32
 }
 
@@ -55,9 +46,9 @@ const (
 )
 
 // gridGeom is the cell geometry of a constellation's visibility grids,
-// computed once per constellation and shared by every fresh-snapshot grid
-// and pooled sweep grid: cell steps, the merged polar caps, and the
-// margin-shrunk boundary tables of the in-cell fast test.
+// computed once per constellation and shared by every snapshot's grid: cell
+// steps, the merged polar caps, and the margin-shrunk boundary tables of the
+// in-cell fast test.
 //
 // Polar caps: rows poleward of roughly +-70 degrees latitude merge all
 // longitude columns into the row's column-0 cell. An inclined shell
@@ -149,44 +140,6 @@ func (gm *gridGeom) cellIndex(latDeg, lonDeg float64) int {
 	return r*gm.cols + c
 }
 
-// visGridLazy builds the grid on first use; concurrent first callers share
-// one build.
-func (s *Snapshot) visGridLazy() *visGrid {
-	s.gridOnce.Do(func() { s.grid = buildVisGrid(s) })
-	return s.grid
-}
-
-func buildVisGrid(s *Snapshot) *visGrid {
-	gm := s.c.geom
-	g := &visGrid{geom: gm, minR: math.Inf(1)}
-	n := len(s.pos)
-	cell := make([]int32, n)
-	g.start = make([]int32, gm.rows*gm.cols+1)
-	for i, p := range s.pos {
-		r := p.Norm()
-		if r < g.minR {
-			g.minR = r
-		}
-		if r > g.maxR {
-			g.maxR = r
-		}
-		pt := p.ToPoint()
-		cell[i] = int32(gm.cellIndex(pt.LatDeg, pt.LonDeg))
-		g.start[cell[i]+1]++
-	}
-	for i := 1; i < len(g.start); i++ {
-		g.start[i] += g.start[i-1]
-	}
-	g.sats = make([]int32, n)
-	fill := make([]int32, gm.rows*gm.cols)
-	for i := 0; i < n; i++ {
-		c := cell[i]
-		g.sats[g.start[c]+fill[c]] = int32(i)
-		fill[c]++
-	}
-	return g
-}
-
 // maxCentralAngleRad returns the largest possible central angle between a
 // ground point at radius rg and the sub-point of any satellite within
 // maxSlant km. From the chord law d^2 = rg^2 + rs^2 - 2*rg*rs*cos(A), the
@@ -255,7 +208,8 @@ func (g *visGrid) forEachCandidate(latDeg, lonDeg, lamRad float64, yield func(in
 		r1 = gm.rows - 1
 	}
 	cosG := math.Cos(latDeg * math.Pi / 180)
-	sinHalf := math.Sin(lamRad / 2)
+	// A window past pi is the whole sphere; sin(lam/2) would shrink again.
+	sinHalf := math.Sin(math.Min(lamRad, math.Pi) / 2)
 	c0 := int((lonDeg + 180) / gm.lonStep)
 	if c0 < 0 {
 		c0 = 0
@@ -293,43 +247,31 @@ func (g *visGrid) forEachCandidate(latDeg, lonDeg, lamRad float64, yield func(in
 }
 
 func (g *visGrid) yieldCell(r, c int, yield func(int32)) {
-	idx := r*g.geom.cols + c
-	if g.head != nil {
-		for id := g.head[idx]; id >= 0; id = g.next[id] {
-			yield(id)
-		}
-		return
-	}
-	for _, id := range g.sats[g.start[idx]:g.start[idx+1]] {
+	for id := g.head[r*g.geom.cols+c]; id >= 0; id = g.next[id] {
 		yield(id)
 	}
 }
 
-// newSweepGrid allocates an empty list-layout grid over the constellation's
-// satellites; the sweep cursor owns it and (re)fills it with rebuildLists.
-func newSweepGrid(c *Constellation) *visGrid {
-	gm := c.geom
-	n := c.Total()
-	return &visGrid{
+// newVisGrid builds the grid over the snapshot's positions: every
+// satellite's cell computed from scratch and linked at the front of its
+// cell's list. Snapshot construction calls it, so a snapshot is never handed
+// out without its grid; the sweep cursor then migrates this same grid with
+// advance.
+func newVisGrid(s *Snapshot) *visGrid {
+	gm := s.c.geom
+	n := len(s.pos)
+	g := &visGrid{
 		geom:  gm,
+		minR:  math.Inf(1),
 		head:  make([]int32, gm.rows*gm.cols),
 		next:  make([]int32, n),
 		prev:  make([]int32, n),
 		rowOf: make([]int32, n),
 		colOf: make([]int32, n),
 	}
-}
-
-// rebuildLists recomputes every satellite's cell from scratch — the sweep's
-// reset path. The per-cell order is insertion order, which queries are
-// insensitive to; the radius bounds are computed with exactly the fresh
-// build's operation sequence so they match it bit for bit.
-func (g *visGrid) rebuildLists(s *Snapshot) {
-	gm := g.geom
 	for i := range g.head {
 		g.head[i] = -1
 	}
-	g.minR, g.maxR = math.Inf(1), 0
 	for i, p := range s.pos {
 		r := p.Norm()
 		if r < g.minR {
@@ -343,6 +285,7 @@ func (g *visGrid) rebuildLists(s *Snapshot) {
 		g.rowOf[i], g.colOf[i] = int32(row), int32(col)
 		g.linkFront(int32(i), int32(row*gm.cols+col))
 	}
+	return g
 }
 
 // advance refreshes the grid after the sweep moved the positions: satellites
@@ -352,7 +295,7 @@ func (g *visGrid) rebuildLists(s *Snapshot) {
 // same multiplication-only test, and only the rare satellite that lands
 // within the margin of a boundary (or jumped several cells in one AdvanceTo)
 // pays the exact asin/atan2 recompute. The relink is O(1); the radius bounds
-// are recomputed with the fresh build's operation sequence. Allocation-free.
+// are recomputed with newVisGrid's operation sequence. Allocation-free.
 func (g *visGrid) advance(s *Snapshot) {
 	gm := g.geom
 	minR, maxR := math.Inf(1), 0.0

@@ -152,7 +152,7 @@ func (s *Suite) snapshotTimes() []time.Duration {
 
 // sweepCursor returns an AdvanceTo-driven cursor positioned at start for
 // walking snapshotTimes, honouring the ScanSweeps flag. Callers must Close
-// it; the sweep form is pooled, so per-configuration cursors are cheap.
+// it.
 // When the attached telemetry carries a windowed series collector, the cursor
 // is wrapped so every advance ticks the collector — this is what keys metric
 // windows to sim time across a whole suite run. The concrete-nil check avoids

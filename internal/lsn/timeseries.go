@@ -30,9 +30,9 @@ type RTTSample struct {
 // ReconfigInterval across [from, to): each interval re-resolves the path
 // (satellites have moved) and draws one measured RTT. The series shows the
 // sawtooth the paper's background describes — latency drifts as the serving
-// satellite moves, then steps at handover. The sampling advances a pooled
-// sweep cursor, so each interval costs the incremental world update rather
-// than a rebuild.
+// satellite moves, then steps at handover. The sampling advances a sweep
+// cursor, so each interval costs the incremental world update rather than a
+// rebuild.
 func (m *Model) RTTTimeSeries(client geo.Point, iso2 string, from, to time.Duration, rng *stats.Rand) ([]RTTSample, error) {
 	cur := m.Constellation.Sweep(from, ReconfigInterval)
 	defer cur.Close()

@@ -10,9 +10,9 @@ import (
 // over time — only the edge weights (propagation delays) change as the
 // satellites move — so the adjacency structure is computed once per
 // constellation and every snapshot materializes its graph by filling one
-// contiguous edge array with that step's weights. The per-directed-edge
-// weight index additionally lets an existing graph refresh its weights in
-// place between sweep steps, with zero allocation.
+// contiguous edge array with that step's weights. A sweep cursor then
+// refreshes an existing graph's weights in place between steps
+// (SetCSRWeightsUndirected), with zero allocation.
 
 // NewGraphCSR builds a graph over len(offsets)-1 nodes whose adjacency lists
 // are views into one contiguous edge array (compressed sparse row layout).
@@ -23,9 +23,9 @@ import (
 // exactly the order of the targets slice, so a CSR build can reproduce the
 // insertion order of an AddEdge-based construction bit for bit.
 //
-// The offsets, targets and weightIdx slices are retained by the graph and
-// must not be mutated afterwards; weights is read during construction (and
-// again on SetCSRWeights) but not retained.
+// The offsets and targets slices are retained by the graph and must not be
+// mutated afterwards; weightIdx and weights are read during construction but
+// not retained.
 func NewGraphCSR(offsets, targets, weightIdx []int32, weights []float64) *Graph {
 	if len(offsets) == 0 || offsets[0] != 0 || int(offsets[len(offsets)-1]) != len(targets) {
 		panic(fmt.Sprintf("routing: malformed CSR offsets (len %d, targets %d)", len(offsets), len(targets)))
@@ -38,13 +38,19 @@ func NewGraphCSR(offsets, targets, weightIdx []int32, weights []float64) *Graph 
 	g := &Graph{
 		adj:      make([][]Edge, n),
 		csrEdges: edges,
-		csrWidx:  weightIdx,
 	}
 	for k, to := range targets {
 		if to < 0 || int(to) >= n {
 			panic(fmt.Sprintf("routing: CSR target %d out of range [0,%d)", to, n))
 		}
-		edges[k].To = NodeID(to)
+		w := weights[weightIdx[k]]
+		if w < 0 || math.IsNaN(w) {
+			panic(fmt.Sprintf("routing: invalid edge weight %v", w))
+		}
+		edges[k] = Edge{To: NodeID(to), Weight: w}
+		if w > g.maxW {
+			g.maxW = w
+		}
 	}
 	for i := 0; i < n; i++ {
 		lo, hi := offsets[i], offsets[i+1]
@@ -55,21 +61,16 @@ func NewGraphCSR(offsets, targets, weightIdx []int32, weights []float64) *Graph 
 		// never spill into the neighbouring node's edges.
 		g.adj[i] = edges[lo:hi:hi]
 	}
-	g.SetCSRWeights(weights)
 	return g
 }
 
-// SetCSRWeights refreshes every edge weight of a CSR-built graph in place
-// from the per-link weight slice and recomputes the max-weight bound. It is
-// the sweep engine's per-step "rebuild": the adjacency structure is untouched
-// and nothing allocates. The caller must guarantee no concurrent readers.
-// Panics when the graph was not built by NewGraphCSR.
-// SetCSRWeightsUndirected is the fused form of SetCSRWeights for callers that
-// know the two directed slots of each undirected edge (slotA[k], slotB[k]):
-// one pass over the physical links writes both directions and recomputes the
-// max-weight bound, halving the refresh work on the sweep engine's hot path.
-// The result is identical to SetCSRWeights — the same weights land in the
-// same slots, and max over the same multiset is order-independent.
+// SetCSRWeightsUndirected refreshes every edge weight of a CSR-built graph
+// in place, given the two directed slots of each undirected edge (slotA[k],
+// slotB[k]) and its weight: one pass over the physical links writes both
+// directions and recomputes the max-weight bound. It is the sweep engine's
+// per-step "rebuild": the adjacency structure is untouched and nothing
+// allocates. The caller must guarantee no concurrent readers. Panics when
+// the graph was not built by NewGraphCSR.
 func (g *Graph) SetCSRWeightsUndirected(slotA, slotB []int32, weights []float64) {
 	if g.csrEdges == nil {
 		panic("routing: SetCSRWeightsUndirected on a non-CSR graph")
@@ -81,24 +82,6 @@ func (g *Graph) SetCSRWeightsUndirected(slotA, slotB []int32, weights []float64)
 		}
 		g.csrEdges[slotA[k]].Weight = w
 		g.csrEdges[slotB[k]].Weight = w
-		if w > maxW {
-			maxW = w
-		}
-	}
-	g.maxW = maxW
-}
-
-func (g *Graph) SetCSRWeights(weights []float64) {
-	if g.csrEdges == nil {
-		panic("routing: SetCSRWeights on a non-CSR graph")
-	}
-	maxW := 0.0
-	for k := range g.csrEdges {
-		w := weights[g.csrWidx[k]]
-		if w < 0 || math.IsNaN(w) {
-			panic(fmt.Sprintf("routing: invalid edge weight %v", w))
-		}
-		g.csrEdges[k].Weight = w
 		if w > maxW {
 			maxW = w
 		}

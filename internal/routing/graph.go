@@ -81,11 +81,10 @@ type Graph struct {
 	adj  [][]Edge
 	maxW float64 // largest edge weight added; bounds any h-hop path at h*maxW
 
-	// CSR-built graphs (NewGraphCSR) keep the contiguous edge backing and
-	// the per-directed-edge weight index so SetCSRWeights can refresh all
-	// weights in place between sweep steps. Nil for AddEdge-built graphs.
+	// CSR-built graphs (NewGraphCSR) keep the contiguous edge backing so
+	// SetCSRWeightsUndirected can refresh all weights in place between
+	// sweep steps. Nil for AddEdge-built graphs.
 	csrEdges []Edge
-	csrWidx  []int32
 }
 
 // NewGraph creates a graph with n nodes and no edges.
@@ -105,7 +104,7 @@ func (g *Graph) AddEdge(from, to NodeID, w float64) {
 	if g.csrEdges != nil {
 		// Appending through a CSR adjacency view would detach that node's
 		// list from the shared edge backing and silently decouple it from
-		// SetCSRWeights refreshes.
+		// SetCSRWeightsUndirected refreshes.
 		panic("routing: AddEdge on a CSR-built graph")
 	}
 	if from < 0 || int(from) >= len(g.adj) || to < 0 || int(to) >= len(g.adj) {
@@ -264,7 +263,6 @@ func (g *Graph) WithinHops(src NodeID, maxHops int) []HopResult {
 	defer putScratch(sc)
 	sc.mark(int32(src), 0, -1)
 	sc.queue = append(sc.queue, int32(src))
-	out := []HopResult{{Node: src, Hops: 0}}
 	head := 0
 	for h := 1; h <= maxHops && head < len(sc.queue); h++ {
 		levelEnd := len(sc.queue)
@@ -273,13 +271,18 @@ func (g *Graph) WithinHops(src NodeID, maxHops int) []HopResult {
 				to := int32(e.To)
 				if !sc.seen(to) {
 					sc.mark(to, float64(h), -1)
-					out = append(out, HopResult{Node: e.To, Hops: h})
 					sc.queue = append(sc.queue, to)
 				}
 			}
 		}
 	}
 	bfsDone(len(sc.queue))
+	// The queue holds every reached node in BFS order and dist its hop
+	// count, so the result is allocated once at its final size.
+	out := make([]HopResult, len(sc.queue))
+	for i, id := range sc.queue {
+		out[i] = HopResult{Node: NodeID(id), Hops: int(sc.dist[id])}
+	}
 	return out
 }
 

@@ -30,7 +30,7 @@ import (
 //
 // The tree reads edge weights from its graph as it goes, so it is valid only
 // while those weights stand: a tree rooted in a CSR graph must not be
-// queried after SetCSRWeights refreshes that graph.
+// queried after SetCSRWeightsUndirected refreshes that graph.
 type SPTree struct {
 	g    *Graph
 	src  NodeID

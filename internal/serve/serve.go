@@ -61,9 +61,6 @@ type Config struct {
 	// streams: request i always draws from stream mix(ReplaySeed, i), so a
 	// recorded request log replays byte-identically (see Replay).
 	ReplaySeed int64
-	// TraceSample is the request-trace sampling rate for a telemetry bundle
-	// the server creates itself (ignored when the system already has one).
-	TraceSample float64
 	// ShutdownTimeout bounds the HTTP drain on Close; zero means 5s.
 	ShutdownTimeout time.Duration
 }
@@ -142,7 +139,8 @@ type Server struct {
 // New builds a server over a deployed system and publishes the initial
 // epoch (swap #1), so ResolveOnce works immediately — Start is only needed
 // for the listener and the background sweeper. When the system has no
-// telemetry attached, New attaches a fresh bundle sampling cfg.TraceSample.
+// telemetry attached, New attaches a fresh bundle that samples no traces;
+// callers that want traces attach their own bundle first.
 func New(sys *spacecdn.System, cfg Config) (*Server, error) {
 	if cfg.Step <= 0 {
 		cfg.Step = 15 * time.Second
@@ -152,7 +150,7 @@ func New(sys *spacecdn.System, cfg Config) (*Server, error) {
 	}
 	tel := sys.Telemetry()
 	if tel == nil {
-		tel = telemetry.New(cfg.TraceSample)
+		tel = telemetry.New(0)
 		sys.SetTelemetry(tel)
 	}
 	reg := tel.Registry()

@@ -73,9 +73,10 @@ func (s *System) ResolveAll(reqs []Request, snap *constellation.Snapshot, rng *s
 	out := make([]BatchResult, len(reqs))
 	spans := parallel.Split(len(reqs), batchShardTarget)
 	rngs := rng.Split(len(spans))
-	// Force the lazy ISL graph build before the fan-out so shards never
-	// contend on the sync.Once, and the build is never timed into a shard.
-	snap.ISLGraph()
+	// Force the pinned topology's ISL graph before the fan-out so shards
+	// never contend on the snapshot's sync.Once, and the build is never
+	// timed into a shard.
+	ep.topo.ISLGraph()
 	// Shard functions only write their own spans' slots; Run's error joining
 	// is unused because per-request errors are data, not failures.
 	_ = parallel.Run(workers, len(spans), func(shard int) error {

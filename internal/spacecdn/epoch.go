@@ -20,11 +20,12 @@ import (
 // memos) and the fault view for the snapshot instant — so a request never
 // observes a half-advanced topology and never takes a lock on the hot path.
 //
-// Ownership: the sweeper owns epoch construction (NewEpoch forces the lazy
-// graph build so readers only ever see a finished topology), readers own
-// nothing — they borrow the epoch for the duration of one resolution and the
-// garbage collector reclaims superseded epochs once the last borrower
-// returns. Lifecycle mutation is the one write the serve path performs; it is
+// Ownership: the sweeper owns epoch construction — the snapshot arrives with
+// its visibility grid, a degraded view with its masked graph, and NewEpoch
+// forces the ISL graph requests price against, so readers only ever see a
+// finished topology. Readers own nothing — they borrow the epoch for the
+// duration of one resolution and the garbage collector reclaims superseded
+// epochs once the last borrower returns. Lifecycle mutation is the one write the serve path performs; it is
 // funneled through the single-writer applier (StartLifecycleApplier) so
 // origin-fetch coalescing stays deterministic under concurrent misses.
 
@@ -60,16 +61,16 @@ func (s *System) pin(ep *Epoch, seq uint64, snap *constellation.Snapshot) {
 	}
 }
 
-// NewEpoch builds a publishable epoch over a finished snapshot. It forces
-// the snapshot's lazy ISL-graph build and pins the attached fault plan's
-// view at the snapshot time, so every cost of epoch construction lands on
-// the sweeper, never on a request goroutine. The seq is the publisher's
-// monotonic epoch counter; readers use it to detect serving on a
-// stale-but-valid epoch.
+// NewEpoch builds a publishable epoch over a finished snapshot. It pins the
+// attached fault plan's view at the snapshot time and forces the ISL graph
+// of the pinned topology — the healthy graph, or on a degraded epoch the
+// masked one — so every cost of epoch construction lands on the sweeper,
+// never on a request goroutine. The seq is the publisher's monotonic epoch
+// counter; readers use it to detect serving on a stale-but-valid epoch.
 func (s *System) NewEpoch(seq uint64, snap *constellation.Snapshot) *Epoch {
-	snap.ISLGraph()
 	ep := new(Epoch)
 	s.pin(ep, seq, snap)
+	ep.topo.ISLGraph()
 	return ep
 }
 

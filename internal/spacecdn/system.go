@@ -175,7 +175,7 @@ func (s *System) Config() Config { return s.cfg }
 // Constellation returns the underlying constellation.
 func (s *System) Constellation() *constellation.Constellation { return s.consts }
 
-// sweepCursor returns a time cursor for a stepped simulation: the pooled
+// sweepCursor returns a time cursor for a stepped simulation: the
 // incremental sweep, or the fresh-snapshot reference when Config.ScanSweeps
 // is set. Every stepped consumer in the package goes through here, so the
 // two forms stay diffable end to end.

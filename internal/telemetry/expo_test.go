@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -187,5 +189,42 @@ func TestCollectorRunsOnExposition(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("collector must run per exposition, got %d", calls)
+	}
+}
+
+// TestWriteFileChoosesFormatByExtension: .prom and .txt get the Prometheus
+// exposition byte for byte, any other extension the JSON snapshot.
+func TestWriteFileChoosesFormatByExtension(t *testing.T) {
+	tel := exampleTelemetry()
+	var prom, js bytes.Buffer
+	if err := tel.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := tel.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		want []byte
+	}{
+		{"m.prom", prom.Bytes()},
+		{"m.txt", prom.Bytes()},
+		{"m.json", js.Bytes()},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := tel.WriteFile(path); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Fatalf("%s: wrote\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+	}
+	if err := tel.WriteFile(filepath.Join(dir, "missing", "m.json")); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
 	}
 }

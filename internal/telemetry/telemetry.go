@@ -21,6 +21,8 @@ package telemetry
 
 import (
 	"io"
+	"os"
+	"strings"
 	"sync/atomic"
 )
 
@@ -170,4 +172,23 @@ func (t *Telemetry) WriteJSON(w io.Writer) error {
 // Traces have no Prometheus representation and are omitted.
 func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	return t.Registry().WritePrometheus(w)
+}
+
+// WriteFile exports the telemetry to path, choosing the format from the file
+// extension: Prometheus text for .prom/.txt, the JSON snapshot otherwise.
+func (t *Telemetry) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	switch {
+	case strings.HasSuffix(path, ".prom"), strings.HasSuffix(path, ".txt"):
+		err = t.WritePrometheus(f)
+	default:
+		err = t.WriteJSON(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

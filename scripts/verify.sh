@@ -22,7 +22,10 @@
 #          environment's snapshot table (first store wins under concurrent
 #          callers) at -count=10 -cpu 1,2,4
 #   fuzz   10 s of FuzzResolveQuery: the in-place /resolve query parser
-#          against url.ParseQuery and the coordinate check
+#          against url.ParseQuery and the coordinate check; then 10 s of
+#          FuzzVisibility: the grid-backed Visible/BestVisible/Nearest of a
+#          fresh snapshot and of an advanced sweep cursor against their full
+#          scans, over random Walker shells, instants and ground points
 #   determinism  build cmd/spacecdn once, run every experiment (-exp all
 #          -json) at -workers 1 and at -workers 4, and require byte-identical
 #          output
@@ -116,6 +119,7 @@ stage_determinism() {
 
 stage_fuzz() {
 	go test -run '^$' -fuzz FuzzResolveQuery -fuzztime 10s ./internal/serve
+	go test -run '^$' -fuzz FuzzVisibility -fuzztime 10s ./internal/constellation
 }
 
 stage_benchmod() {
