@@ -125,7 +125,7 @@ func New(cfg Config) (*Constellation, error) {
 			return nil, fmt.Errorf("constellation: shell %d: %w", i, err)
 		}
 	}
-	if cfg.MinElevationDeg < 0 || cfg.MinElevationDeg >= 90 {
+	if !(cfg.MinElevationDeg >= 0 && cfg.MinElevationDeg < 90) { // NaN fails too
 		return nil, fmt.Errorf("constellation: elevation mask %v out of range [0,90)", cfg.MinElevationDeg)
 	}
 	c := &Constellation{cfg: cfg, shells: make([]shellSpan, 0, len(ws))}

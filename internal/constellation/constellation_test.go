@@ -2,6 +2,7 @@ package constellation
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +35,45 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(DefaultConfig()); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+// TestNewRejectsNonFiniteConfig: every range check fails a NaN (a
+// comparison with NaN is false, so `x <= 0` lets one through), an infinite
+// altitude is no orbit either, and each error names the field at fault —
+// for the single-shell form and for a shell of a composite.
+func TestNewRejectsNonFiniteConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	shell := func(alt, incl float64) orbit.Walker {
+		return orbit.Walker{AltitudeKm: alt, InclinationDeg: incl, Planes: 12, SatsPerPlane: 10, PhasingF: 5}
+	}
+	for _, tc := range []struct {
+		name  string
+		alt   float64
+		incl  float64
+		mask  float64
+		field string
+	}{
+		{"NaN altitude", nan, 53, 25, "altitude"},
+		{"infinite altitude", inf, 53, 25, "altitude"},
+		{"NaN inclination", 550, nan, 25, "inclination"},
+		{"NaN elevation mask", 550, 53, nan, "elevation mask"},
+		{"negative elevation mask", 550, 53, -1, "elevation mask"},
+		{"infinite elevation mask", 550, 53, inf, "elevation mask"},
+	} {
+		for _, cfg := range []Config{
+			{Walker: shell(tc.alt, tc.incl), MinElevationDeg: tc.mask},
+			{Shells: []WalkerShell{shell(550, 53), shell(tc.alt, tc.incl)}, MinElevationDeg: tc.mask},
+		} {
+			c, err := New(cfg)
+			if err == nil {
+				t.Errorf("%s accepted (first satellite at %v)", tc.name, c.Snapshot(0).Position(0))
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s: error %q does not name the %s", tc.name, err, tc.field)
+			}
+		}
 	}
 }
 

@@ -30,9 +30,10 @@ const (
 // ground point at one sweep generation. The key is the bit pattern of the
 // point's coordinates, not their float value: float equality calls -0.0 and
 // 0.0 the same key and NaN a key that never equals itself, which would make
-// a NaN query miss and re-insert forever. All fields but vis are written
-// before the entry is published and never after, so readers need no
-// synchronisation beyond the slot's atomic load; vis is its own publication.
+// a NaN query miss and re-insert forever. All fields but vis and aux are
+// written before the entry is published and never after, so readers need no
+// synchronisation beyond the slot's atomic load; vis and aux are their own
+// publications.
 type groundPoint struct {
 	lat, lon uint64 // math.Float64bits of the query point
 	gen      uint32 // Snapshot.memoGen the entry was elected under
@@ -42,6 +43,9 @@ type groundPoint struct {
 	// VisibleShared of the point (most points — clients served from space —
 	// are only ever asked for their best satellite).
 	vis atomic.Pointer[[]VisibleSat]
+	// aux is the caller-owned slot PointSlot hands out (the access model
+	// keeps the point's ground paths there). It is retired with the entry.
+	aux atomic.Pointer[any]
 }
 
 // groundMemo is the snapshot's ground-point memo: a fixed-capacity
@@ -168,4 +172,19 @@ func (s *Snapshot) VisibleShared(ground geo.Point) []VisibleSat {
 		return out
 	}
 	return *e.vis.Load()
+}
+
+// PointSlot returns the ground point's caller-owned slot in the memo entry
+// of the snapshot's current generation, or nil when the memo is full and the
+// point is not in it. The snapshot never reads the slot: a caller keeps in
+// it what it derives from (snapshot, point) — whoever stores into it owns
+// the stored type — and it dies with the entry, so a sweep advance retires
+// it with the rest of the memo and nothing is ever cleared. A caller that
+// gets nil computes instead, as VisibleShared does for a point that finds
+// the memo full.
+func (s *Snapshot) PointSlot(ground geo.Point) *atomic.Pointer[any] {
+	if e := s.groundPoint(ground); e != nil {
+		return &e.aux
+	}
+	return nil
 }

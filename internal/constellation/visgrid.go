@@ -189,13 +189,30 @@ func (g *visGrid) chordLowerBoundKm(rg, lamRad float64) float64 {
 	return math.Sqrt(math.Max(0, best))
 }
 
+// queryLatLon returns the coordinates a ground query centres its candidate
+// window on. The exact predicate tests the point's ECEF vector gv, and a
+// geo.Point literal need not be normalised: longitude 200 is longitude -160,
+// latitude 100 is latitude 80 on the far meridian. In range, the point's own
+// coordinates are used unchanged; out of range — or NaN — the window is
+// centred on gv's own coordinates, so the grid answers what the scan
+// answers for any point. The grid queries call it once each, before their
+// candidate walks.
+func queryLatLon(ground geo.Point, gv geo.Vec3) (lat, lon float64) {
+	if ground.LatDeg >= -90 && ground.LatDeg <= 90 && ground.LonDeg >= -180 && ground.LonDeg <= 180 {
+		return ground.LatDeg, ground.LonDeg
+	}
+	p := gv.ToPoint()
+	return p.LatDeg, p.LonDeg
+}
+
 // forEachCandidate yields every satellite whose sub-point could lie within
 // lamRad central angle of the ground point. The latitude band is exact; the
 // per-row longitude half-width follows from the haversine identity
 // hav(A) >= cos(lat1)*cos(lat2)*hav(dLon), taken conservatively over the
 // row's latitude range (rows touching a pole widen to the full circle). A
 // cap row holds its whole band in one merged cell, yielded once.
-// Candidates are a superset — callers re-check each one exactly.
+// Candidates are a superset — callers re-check each one exactly. latDeg and
+// lonDeg must be in range: queryLatLon's output.
 func (g *visGrid) forEachCandidate(latDeg, lonDeg, lamRad float64, yield func(int32)) {
 	gm := g.geom
 	lamDeg := lamRad * 180 / math.Pi
@@ -439,8 +456,9 @@ func (g *visGrid) visible(s *Snapshot, ground geo.Point) []VisibleSat {
 	gv := ground.ToECEF()
 	maxSlant := s.c.maxSlantKm
 	lam := g.maxCentralAngleRad(gv.Norm(), maxSlant)
+	lat, lon := queryLatLon(ground, gv)
 	var cand []int32
-	g.forEachCandidate(ground.LatDeg, ground.LonDeg, lam, func(id int32) {
+	g.forEachCandidate(lat, lon, lam, func(id int32) {
 		cand = append(cand, id)
 	})
 	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
@@ -468,15 +486,16 @@ func (g *visGrid) bestVisible(s *Snapshot, ground geo.Point) (VisibleSat, bool) 
 	gv := ground.ToECEF()
 	maxSlant := s.c.maxSlantKm
 	lam := g.maxCentralAngleRad(gv.Norm(), maxSlant)
+	lat, lon := queryLatLon(ground, gv)
 	best := VisibleSat{ID: -1}
-	g.forEachCandidate(ground.LatDeg, ground.LonDeg, lam, func(id int32) {
+	g.forEachCandidate(lat, lon, lam, func(id int32) {
 		p := s.pos[id]
 		d := p.Sub(gv).Norm()
 		if d > maxSlant {
 			return
 		}
 		el := geo.ElevationDeg(gv, p)
-		if el < s.c.cfg.MinElevationDeg {
+		if !(el >= s.c.cfg.MinElevationDeg) { // the scan's predicate, so a NaN elevation fails
 			return
 		}
 		if best.ID < 0 || el > best.ElevationDeg || (el == best.ElevationDeg && SatID(id) < best.ID) {
@@ -497,10 +516,11 @@ func (g *visGrid) nearest(s *Snapshot, ground geo.Point) VisibleSat {
 	gv := ground.ToECEF()
 	rg := gv.Norm()
 	lam := 1.5 * g.geom.latStep * math.Pi / 180
+	lat, lon := queryLatLon(ground, gv)
 	for {
 		bestID := int32(-1)
 		bestD := math.Inf(1)
-		g.forEachCandidate(ground.LatDeg, ground.LonDeg, lam, func(id int32) {
+		g.forEachCandidate(lat, lon, lam, func(id int32) {
 			d := s.pos[id].Sub(gv).Norm()
 			if d < bestD || (d == bestD && id < bestID) {
 				bestID, bestD = id, d

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"spacecdn/internal/constellation"
@@ -90,8 +91,9 @@ type Model struct {
 }
 
 // SetTelemetry wires path-computation observability: a wall-time histogram
-// of ResolvePath (which is dominated by the per-uplink-candidate Dijkstra
-// sweeps) and an error counter. Pass nil to disable.
+// of path computations — ResolvePath's memo misses and errors, and every
+// ResolvePathDegraded; dominated by the per-uplink-candidate Dijkstra sweeps
+// — and an error counter. Pass nil to disable.
 func (m *Model) SetTelemetry(t *telemetry.Telemetry) {
 	if t == nil {
 		m.pathDurUs = nil
@@ -151,17 +153,90 @@ const maxUplinkCandidates = 6
 // every visible satellite at each ground station homed on the PoP, and picks
 // the pair minimizing total one-way propagation — modelling an operator that
 // schedules terminals and gateways onto the cheapest space path.
+//
+// The answer is a pure function of (model, snapshot, client point, country),
+// and clients sit at a few hundred fixed points, so it is memoized per
+// snapshot in the client point's ground-memo slot: a hit is a probe and a
+// struct copy, no lock, no allocation and no clock read. Errors are not
+// memoized. The path telemetry observes computations only, so a warm
+// snapshot records nothing.
 func (m *Model) ResolvePath(client geo.Point, iso2 string, snap *constellation.Snapshot) (Path, error) {
-	if m.pathDurUs == nil {
-		return m.resolvePath(client, iso2, snap)
+	slot := snap.PointSlot(client)
+	if slot != nil {
+		if list, i := m.findPath(slot.Load(), iso2); i >= 0 {
+			return list[i].path, nil
+		}
 	}
-	start := time.Now()
+	start := m.startCompute()
 	p, err := m.resolvePath(client, iso2, snap)
+	m.observeCompute(start, err)
+	if err == nil && slot != nil {
+		m.publishPath(slot, iso2, p)
+	}
+	return p, err
+}
+
+// groundPath is one memoized healthy ground path. A ground point's slot
+// holds a copy-on-write list of them, one per (model, country) resolved
+// there: two models over one snapshot can carry different ground catalogs,
+// and the country picks the PoP. This package owns the slot's type.
+type groundPath struct {
+	model *Model
+	iso2  string
+	path  Path
+}
+
+// findPath returns the list a slot value holds (nil for an empty slot) and
+// the index of (m, iso2) in it, or -1.
+func (m *Model) findPath(v *any, iso2 string) ([]groundPath, int) {
+	if v == nil {
+		return nil, -1
+	}
+	list := (*v).([]groundPath)
+	for i := range list {
+		if list[i].model == m && list[i].iso2 == iso2 {
+			return list, i
+		}
+	}
+	return list, -1
+}
+
+// publishPath adds (m, iso2) -> p to the slot's list by compare-and-swap of
+// a fresh copy, retrying on a lost race so that no insert is dropped. A
+// racing caller that published the same key first wins; paths are
+// deterministic, so the two are equal.
+func (m *Model) publishPath(slot *atomic.Pointer[any], iso2 string, p Path) {
+	for {
+		old := slot.Load()
+		list, i := m.findPath(old, iso2)
+		if i >= 0 {
+			return
+		}
+		next := any(append(list[:len(list):len(list)], groundPath{model: m, iso2: iso2, path: p}))
+		if slot.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+// startCompute reads the clock for a path computation when telemetry is
+// attached.
+func (m *Model) startCompute() time.Time {
+	if m.pathDurUs == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeCompute records one path computation started at start.
+func (m *Model) observeCompute(start time.Time, err error) {
+	if m.pathDurUs == nil {
+		return
+	}
 	m.pathDurUs.Observe(float64(time.Since(start)) / float64(time.Microsecond))
 	if err != nil {
 		m.pathErrs.Inc()
 	}
-	return p, err
 }
 
 // topology is what path resolution prices against: the healthy snapshot, or
@@ -172,7 +247,10 @@ func (m *Model) ResolvePath(client geo.Point, iso2 string, snap *constellation.S
 // clients against one snapshot thousands of times, and re-enumerating a
 // visible list that grows with the constellation made the ground stage
 // degrade linearly in satellite count. The shared lists are read-only here —
-// the uplink list is only re-sliced, never written.
+// the uplink list is only re-sliced, never written. Only ResolvePath
+// memoizes the whole path, and only over a healthy snapshot: a masked view
+// prices every request afresh, so a degraded epoch is never served a path
+// through a dead satellite.
 type topology interface {
 	VisibleShared(geo.Point) []constellation.VisibleSat
 	PathTree(constellation.SatID) *routing.SPTree
@@ -300,15 +378,9 @@ func (m *Model) resolvePathVia(snap topology, client geo.Point, pop groundseg.Po
 // no ground path exists in this fault state. Telemetry observes it like
 // ResolvePath.
 func (m *Model) ResolvePathDegraded(client geo.Point, iso2 string, view *constellation.MaskedView, deadPoP func(string) bool) (Path, bool, error) {
-	if m.pathDurUs == nil {
-		return m.resolvePathDegraded(client, iso2, view, deadPoP)
-	}
-	start := time.Now()
+	start := m.startCompute()
 	p, failover, err := m.resolvePathDegraded(client, iso2, view, deadPoP)
-	m.pathDurUs.Observe(float64(time.Since(start)) / float64(time.Microsecond))
-	if err != nil {
-		m.pathErrs.Inc()
-	}
+	m.observeCompute(start, err)
 	return p, failover, err
 }
 

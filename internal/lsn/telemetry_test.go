@@ -6,6 +6,8 @@ import (
 	"spacecdn/internal/telemetry"
 )
 
+// TestResolvePathTelemetry: lsn_path_compute_us observes path computations
+// — a memo miss and an error here — and the error counter counts the error.
 func TestResolvePathTelemetry(t *testing.T) {
 	m := testModel()
 	tel := telemetry.New(0)
@@ -18,6 +20,11 @@ func TestResolvePathTelemetry(t *testing.T) {
 	}
 	if _, err := m.ResolvePath(madrid.Loc, "??", snap); err == nil {
 		t.Fatal("unknown country must fail")
+	}
+	// A memo hit is not a computation: it reads no clock and observes
+	// nothing.
+	if _, err := m.ResolvePath(madrid.Loc, "ES", snap); err != nil {
+		t.Fatal(err)
 	}
 
 	snapshot := tel.Snapshot()

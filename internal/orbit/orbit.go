@@ -38,10 +38,12 @@ type Elements struct {
 
 // Validate reports a descriptive error for physically meaningless elements.
 func (e Elements) Validate() error {
-	if e.AltitudeKm <= 0 {
-		return fmt.Errorf("orbit: altitude must be positive, got %v", e.AltitudeKm)
+	// Each check is written so that NaN fails it: every comparison with NaN
+	// is false.
+	if !(e.AltitudeKm > 0) || math.IsInf(e.AltitudeKm, 1) {
+		return fmt.Errorf("orbit: altitude must be positive and finite, got %v", e.AltitudeKm)
 	}
-	if e.InclinationDeg < 0 || e.InclinationDeg > 180 {
+	if !(e.InclinationDeg >= 0 && e.InclinationDeg <= 180) {
 		return fmt.Errorf("orbit: inclination must be in [0,180], got %v", e.InclinationDeg)
 	}
 	return nil

@@ -2,6 +2,7 @@ package orbit
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -138,6 +139,24 @@ func TestElementsValidation(t *testing.T) {
 	}
 	if err := (Elements{AltitudeKm: 0, InclinationDeg: 53}).Validate(); err == nil {
 		t.Error("zero altitude accepted")
+	}
+}
+
+// TestElementsValidateRejectsNaN: the checks are written so that a NaN
+// fails them, and each error names its field.
+func TestElementsValidateRejectsNaN(t *testing.T) {
+	for _, tc := range []struct {
+		e     Elements
+		field string
+	}{
+		{Elements{AltitudeKm: math.NaN(), InclinationDeg: 53}, "altitude"},
+		{Elements{AltitudeKm: math.Inf(1), InclinationDeg: 53}, "altitude"},
+		{Elements{AltitudeKm: 550, InclinationDeg: math.NaN()}, "inclination"},
+	} {
+		err := tc.e.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %v, want one naming the %s", tc.e, err, tc.field)
+		}
 	}
 }
 

@@ -151,6 +151,32 @@ func TestSteadyStateResolveZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWarmGroundResolveAtZeroAlloc pins the allocation ceiling of a warm,
+// ground-served request on a pinned epoch: the overhead satellite and the
+// ground path are memoized on the epoch's snapshot, so ResolveAt allocates
+// nothing.
+func TestWarmGroundResolveAtZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the hot path")
+	}
+	s := newSystem(t, DefaultConfig())
+	ep := s.NewEpoch(1, testConst.Snapshot(0))
+	city := geo.NewPoint(40.4168, -3.7038) // Madrid
+	obj := testObject("zeroalloc-ground")  // stored nowhere: stage 3 serves it
+	rng := stats.NewRand(9)
+	if res, err := s.ResolveAt(ep, city, "ES", obj, rng); err != nil || res.Source != SourceGround {
+		t.Fatalf("warmup: res %+v err %v, want a ground serve", res, err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.ResolveAt(ep, city, "ES", obj, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ground-served ResolveAt allocs/op = %v, want 0", allocs)
+	}
+}
+
 // TestIslOneWayUnreachable is the regression test for the silent-(0,0) bug:
 // with cross-plane ISLs disabled every plane is an isolated ring, and pricing
 // a path into another plane must report unreachable, not free.

@@ -1,6 +1,7 @@
 package spacecdn
 
 import (
+	"sync"
 	"time"
 
 	"spacecdn/internal/cache"
@@ -260,15 +261,26 @@ func (in *instruments) record(stripe int, res Resolution, err error, d *resolveD
 
 	sink := in.tel.Traces()
 	if seq, ok := sink.Sample(); ok {
-		sink.Add(buildTrace(seq, res, d))
+		// The sink copies the spans into its own ring, so they are built in
+		// a pooled buffer: a sampled request leaves no garbage behind, and
+		// the heap does not grow with the request count.
+		buf := spanBufs.Get().(*[]telemetry.Span)
+		tr := buildTrace(seq, res, d, (*buf)[:0])
+		sink.Add(tr)
+		*buf = tr.Spans[:0] // keep what append grew
+		spanBufs.Put(buf)
 	}
 }
+
+// spanBufs recycles the span buffers sampled traces are built in.
+var spanBufs = sync.Pool{New: func() any { return new([]telemetry.Span) }}
 
 // buildTrace decomposes a resolution's RTT into typed spans. The spans sum
 // to the RTT exactly: closed-form components are assigned directly and the
 // scheduling span absorbs the residual (MAC schedule, gateway processing and
 // sampled jitter), so the trace is a decomposition, not a re-measurement.
-func buildTrace(seq uint64, res Resolution, d *resolveDetail) telemetry.RequestTrace {
+// The spans are appended to spans, the caller's buffer.
+func buildTrace(seq uint64, res Resolution, d *resolveDetail, spans []telemetry.Span) telemetry.RequestTrace {
 	tr := telemetry.RequestTrace{
 		Seq:    seq,
 		Source: res.Source.String(),
@@ -278,13 +290,11 @@ func buildTrace(seq uint64, res Resolution, d *resolveDetail) telemetry.RequestT
 	}
 	switch res.Source {
 	case SourceOverhead:
-		tr.Spans = []telemetry.Span{
-			{Kind: telemetry.SpanUplink, Dur: d.uplinkRTT},
-			{Kind: telemetry.SpanCacheProbe},
-			{Kind: telemetry.SpanSched, Dur: res.RTT - d.uplinkRTT},
-		}
+		tr.Spans = append(spans,
+			telemetry.Span{Kind: telemetry.SpanUplink, Dur: d.uplinkRTT},
+			telemetry.Span{Kind: telemetry.SpanCacheProbe},
+			telemetry.Span{Kind: telemetry.SpanSched, Dur: res.RTT - d.uplinkRTT})
 	case SourceISL:
-		spans := make([]telemetry.Span, 0, res.Hops+3)
 		spans = append(spans,
 			telemetry.Span{Kind: telemetry.SpanUplink, Dur: d.uplinkRTT},
 			telemetry.Span{Kind: telemetry.SpanCacheProbe})
@@ -301,7 +311,6 @@ func buildTrace(seq uint64, res Resolution, d *resolveDetail) telemetry.RequestT
 		uplink := 2 * p.UplinkDelay
 		islRTT := 2 * p.ISLDelay
 		ground := 2 * (p.DownlinkDelay + p.GSFiberDelay)
-		spans := make([]telemetry.Span, 0, p.ISLHops+3)
 		spans = append(spans, telemetry.Span{Kind: telemetry.SpanUplink, Dur: uplink})
 		spans = appendHopSpans(spans, islRTT, p.ISLHops)
 		spans = append(spans,

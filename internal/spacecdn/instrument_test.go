@@ -280,8 +280,10 @@ func TestResolveSpatialHeatmap(t *testing.T) {
 
 // TestResolveDisabledPathAllocs pins the telemetry cost model: a detached
 // system resolves with exactly the allocations of a never-instrumented one,
-// and an attached-but-unsampled request adds none on top (counters and
-// histograms are pure atomics).
+// an attached-but-unsampled request adds none on top (counters and
+// histograms are pure atomics), and neither does a sampled one once the
+// trace ring is full (its spans are built in a pooled buffer and copied into
+// the ring slot's own array).
 func TestResolveDisabledPathAllocs(t *testing.T) {
 	snap := testConst.Snapshot(0)
 	maputo := geo.NewPoint(-25.9692, 32.5732)
@@ -318,5 +320,22 @@ func TestResolveDisabledPathAllocs(t *testing.T) {
 	t.Cleanup(func() { unsampled.SetTelemetry(nil) })
 	if got := run(unsampled); got != baseAllocs {
 		t.Errorf("unsampled instrumented path allocates %v/op, baseline %v/op", got, baseAllocs)
+	}
+
+	if raceEnabled {
+		return // the race detector's sync.Pool drops items at random
+	}
+	sampled := newSystem(t, DefaultConfig())
+	sampled.Store(up.ID, hot)
+	sampled.SetTelemetry(telemetry.New(1)) // every request traced
+	t.Cleanup(func() { sampled.SetTelemetry(nil) })
+	rng := stats.NewRand(4)
+	for i := 0; i < telemetry.DefaultTraceCapacity; i++ {
+		if _, err := sampled.Resolve(maputo, "MZ", hot, snap, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := run(sampled); got != baseAllocs {
+		t.Errorf("sampled path with a full trace ring allocates %v/op, baseline %v/op", got, baseAllocs)
 	}
 }

@@ -98,8 +98,11 @@ var (
 		0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
 		1, 2, 5, 10, 20, 50, 100, 200, 500, 1000,
 	}
-	// ComputeBucketsUs spans path-computation wall times (microseconds).
-	ComputeBucketsUs = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000}
+	// ComputeBucketsUs spans path-computation wall times (microseconds): a
+	// ground path priced over warm path trees takes 1–2 µs, a cold one
+	// (trees settled from scratch) about 10 µs, a mega-constellation epoch's
+	// worst case tens of milliseconds.
+	ComputeBucketsUs = []float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000}
 	// HopBuckets spans ISL hop counts.
 	HopBuckets = []float64{0, 1, 2, 3, 4, 5, 6, 8, 10, 15}
 )

@@ -164,7 +164,10 @@ func (s *TraceSink) Sample() (seq uint64, ok bool) {
 	return seq, (seq-1)%s.stride == 0
 }
 
-// Add retains a trace, evicting the oldest when the ring is full.
+// Add retains a copy of a trace, evicting the oldest when the ring is full.
+// The spans are copied into the ring slot's own array, which the slot keeps
+// and reuses, so the caller may build them in a buffer of its own, and a
+// full ring retains traces without allocating.
 func (s *TraceSink) Add(t RequestTrace) {
 	if s == nil || s.stride == 0 {
 		return
@@ -172,15 +175,20 @@ func (s *TraceSink) Add(t RequestTrace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sampled++
+	var slot *RequestTrace
 	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, t)
-		return
+		s.ring = s.ring[:len(s.ring)+1]
+		slot = &s.ring[len(s.ring)-1]
+	} else {
+		slot = &s.ring[s.next]
+		s.next = (s.next + 1) % len(s.ring)
 	}
-	s.ring[s.next] = t
-	s.next = (s.next + 1) % len(s.ring)
+	// Field by field, not *slot = t: t.Spans must not be stored.
+	slot.Seq, slot.Source, slot.Sat, slot.Hops, slot.RTT = t.Seq, t.Source, t.Sat, t.Hops, t.RTT
+	slot.Spans = append(slot.Spans[:0], t.Spans...)
 }
 
-// Traces returns the retained traces, oldest first.
+// Traces returns copies of the retained traces, oldest first.
 func (s *TraceSink) Traces() []RequestTrace {
 	if s == nil {
 		return nil
@@ -190,6 +198,9 @@ func (s *TraceSink) Traces() []RequestTrace {
 	out := make([]RequestTrace, 0, len(s.ring))
 	out = append(out, s.ring[s.next:]...)
 	out = append(out, s.ring[:s.next]...)
+	for i := range out {
+		out[i].Spans = append([]Span(nil), out[i].Spans...)
+	}
 	return out
 }
 

@@ -117,6 +117,31 @@ func TestTraceSinkRingEviction(t *testing.T) {
 	}
 }
 
+// TestTraceSinkCopiesSpans: Add keeps its own copy of the spans, so a
+// caller may build the next trace in the same buffer; Traces hands out
+// copies, so a reader never sees a slot being reused; and a full ring
+// retains traces without allocating.
+func TestTraceSinkCopiesSpans(t *testing.T) {
+	s := NewTraceSink(1, 4)
+	buf := []Span{{Kind: SpanUplink, Dur: 1}, {Kind: SpanSched, Dur: 2}}
+	s.Add(RequestTrace{Seq: 1, Source: "overhead", RTT: 3, Spans: buf})
+	buf[0].Dur = 99
+	got := s.Traces()
+	if len(got) != 1 || got[0].Seq != 1 || got[0].Source != "overhead" || got[0].SpanSum() != 3 {
+		t.Fatalf("retained %+v, want the trace as added", got)
+	}
+	got[0].Spans[0].Dur = 42
+	for i := 0; i < 8; i++ { // wrap the ring twice: every slot is reused
+		s.Add(RequestTrace{Seq: uint64(2 + i), Spans: buf[:1]})
+	}
+	if got[0].Spans[0].Dur != 42 || got[0].Spans[1].Dur != 2 {
+		t.Fatalf("a returned trace changed under ring reuse: %+v", got[0].Spans)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Add(RequestTrace{Seq: 1, Spans: buf}) }); n != 0 {
+		t.Fatalf("Add into a full ring allocates %v per op, want 0", n)
+	}
+}
+
 func TestTraceSinkDisabled(t *testing.T) {
 	for _, s := range []*TraceSink{NewTraceSink(0, 10), NewTraceSink(-1, 10), NewTraceSink(0, 0)} {
 		if _, ok := s.Sample(); ok {

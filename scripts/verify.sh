@@ -10,10 +10,11 @@
 #   build  go build
 #   test   go test
 #   race   go test -race, then the lock-free pieces' tests again at -count=5
-#          -cpu 1,2,4 — the ground-point memo, and the path-tree table, the
-#          SPTree frontier rule-out and the striped counters/histograms of
-#          the shared-nothing read path: a CAS-published table is exactly the
-#          code one -race pass at one GOMAXPROCS can miss; then the resolve
+#          -cpu 1,2,4 — the ground-point memo and the ground paths lsn keeps
+#          in its entries, and the path-tree table, the SPTree frontier
+#          rule-out and the striped counters/histograms of the shared-nothing
+#          read path: a CAS-published table is exactly the code one -race
+#          pass at one GOMAXPROCS can miss; then the resolve
 #          entry points' schedule-sensitive tests at -count=3 -cpu 1,2,4:
 #          Resolve, ResolveAt (inline and applier) and ResolveAll share one
 #          pipeline body, so it should see more than one GOMAXPROCS too; and
@@ -25,7 +26,11 @@
 #          against url.ParseQuery and the coordinate check; then 10 s of
 #          FuzzVisibility: the grid-backed Visible/BestVisible/Nearest of a
 #          fresh snapshot and of an advanced sweep cursor against their full
-#          scans, over random Walker shells, instants and ground points
+#          scans, over random Walker shells, instants and raw ground-point
+#          literals; then 10 s of FuzzGroundMemo: point sequences that collide
+#          in the ground-point memo's table, where BestVisible must equal its
+#          scan and the memoized lsn ResolvePath the unmemoized path, on a
+#          fresh snapshot and on a sweep cursor (30 s in all)
 #   determinism  build cmd/spacecdn once, run every experiment (-exp all
 #          -json) at -workers 1 and at -workers 4, and require byte-identical
 #          output
@@ -97,7 +102,8 @@ stage_test() {
 
 stage_race() {
 	go test -race ./...
-	go test -race -count=5 -cpu 1,2,4 -run 'Visib|GroundMemo' ./internal/constellation
+	go test -race -count=5 -cpu 1,2,4 -run 'Visib|TestGroundMemo' ./internal/constellation
+	go test -race -count=5 -cpu 1,2,4 -run 'GroundPathMemo' ./internal/lsn
 	go test -race -count=5 -cpu 1,2,4 -run 'PathTree|SPTree|LazyTreeConcurrent|Striped|Histogram|Counter' \
 		./internal/routing ./internal/constellation ./internal/telemetry ./internal/parallel
 	go test -race -count=3 -cpu 1,2,4 -run 'ResolveAt|Lifecycle|Applier|Stress' ./internal/spacecdn ./internal/serve
@@ -120,6 +126,7 @@ stage_determinism() {
 stage_fuzz() {
 	go test -run '^$' -fuzz FuzzResolveQuery -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz FuzzVisibility -fuzztime 10s ./internal/constellation
+	go test -run '^$' -fuzz FuzzGroundMemo -fuzztime 10s ./internal/constellation
 }
 
 stage_benchmod() {
