@@ -77,10 +77,9 @@ func collidingPool(fixed []geo.Point, home int, rng *rand.Rand) []geo.Point {
 // share one 8-slot window, asked in the order the input gives, through two
 // access models and several countries. In every order, on a fresh snapshot
 // and on a sweep cursor whose table still holds the previous step's entries
-// (and ground paths) along the probe chains, BestVisible equals
-// BestVisibleScan and the memoized ResolvePath equals the unmemoized path:
-// resolvePathVia, reached through ResolvePathDegraded over a pass-through
-// view of the same snapshot, which never reads or writes the path memo.
+// (and ground paths and PoP fields) along the probe chains, BestVisible
+// equals BestVisibleScan and the memoized ResolvePath equals the exhaustive
+// lsn.ResolvePathReference, which reads and writes neither paths nor fields.
 func FuzzGroundMemo(f *testing.F) {
 	// Each op byte is (combo << 4 | point): pairs asks a point for
 	// Mozambique through one model and then the other (and the reverse),
@@ -133,7 +132,6 @@ func groundMemoCase(t *testing.T, ms uint32, home uint16, seed int64, ops []byte
 		}
 	}
 	for _, snap := range []*constellation.Snapshot{fuzzConst.Snapshot(at), sw.AdvanceTo(at)} {
-		ref := snap.Masked(0, nil, nil)
 		for _, b := range ops {
 			pt := pool[int(b&15)%len(pool)]
 			combo := int(b >> 4)
@@ -143,13 +141,10 @@ func groundMemoCase(t *testing.T, ms uint32, home uint16, seed int64, ops []byte
 			if best, ok := snap.BestVisible(pt); ok != wantOK || best != wantBest {
 				t.Fatalf("t=%v %+v best: %+v,%v, scan says %+v,%v", at, pt, best, ok, wantBest, wantOK)
 			}
-			want, failover, wantErr := m.ResolvePathDegraded(pt, iso, ref, nil)
+			want, wantErr := m.ResolvePathReference(pt, iso, snap)
 			got, err := m.ResolvePath(pt, iso, snap)
-			switch {
-			case err != nil && wantErr == nil && !failover:
-				t.Fatalf("t=%v %+v %s: error %v, unmemoized path %+v", at, pt, iso, err, want)
-			case err == nil && (wantErr != nil || failover || got != want):
-				t.Fatalf("t=%v %+v %s:\n got %+v\nwant %+v (failover %v, error %v)", at, pt, iso, got, want, failover, wantErr)
+			if (err != nil) != (wantErr != nil) || got != want {
+				t.Fatalf("t=%v %+v %s:\n got %+v, %v\nwant %+v, %v", at, pt, iso, got, err, want, wantErr)
 			}
 		}
 	}

@@ -1,73 +1,14 @@
 package lsn
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/geo"
-	"spacecdn/internal/groundseg"
-	"spacecdn/internal/orbit"
 	"spacecdn/internal/routing"
-	"spacecdn/internal/terrestrial"
 )
-
-// resolvePathViaReference is the ground stage as an exhaustive double loop:
-// every (uplink, station, downlink) triple is priced in full and the first
-// cheapest kept. resolvePathVia prunes the same enumeration and must return
-// the identical Path.
-func (m *Model) resolvePathViaReference(snap topology, client geo.Point, pop groundseg.PoP) (Path, error) {
-	ups := snap.VisibleShared(client)
-	if len(ups) == 0 {
-		return Path{}, fmt.Errorf("%w: client at %v", ErrNoVisibility, client)
-	}
-	if len(ups) > maxUplinkCandidates {
-		ups = ups[:maxUplinkCandidates]
-	}
-	best := Path{}
-	bestCost := time.Duration(math.MaxInt64)
-	found := false
-	for _, up := range ups {
-		tree := snap.PathTree(up.ID)
-		if tree == nil {
-			continue
-		}
-		for _, gs := range m.Ground.StationsForPoP(pop.Name) {
-			for _, down := range snap.VisibleShared(gs.Loc) {
-				islMs := tree.Dist(routing.NodeID(down.ID))
-				if math.IsInf(islMs, 1) {
-					continue
-				}
-				p := Path{
-					Client:        client,
-					PoP:           pop,
-					GS:            gs,
-					UpSat:         up.ID,
-					DownSat:       down.ID,
-					UplinkDelay:   orbit.PropagationDelay(up.SlantKm),
-					ISLDelay:      time.Duration(islMs * float64(time.Millisecond)),
-					DownlinkDelay: orbit.PropagationDelay(down.SlantKm),
-					GSFiberDelay:  terrestrial.FiberDelay(geo.HaversineKm(gs.Loc, pop.Loc) * 1.4),
-				}
-				if cost := p.OneWayPropagation(); cost < bestCost {
-					bestCost = cost
-					best = p
-					found = true
-				}
-			}
-		}
-	}
-	if !found {
-		return Path{}, fmt.Errorf("%w: no ISL route to PoP %s", ErrNoVisibility, pop.Name)
-	}
-	if best.UpSat != best.DownSat {
-		best.ISLHops, _ = snap.PathTree(best.UpSat).HopsTo(routing.NodeID(best.DownSat))
-	}
-	return best, nil
-}
 
 // degraded returns a view of snap with a scattering of dead satellites and
 // failed links, the same for every snapshot it is given.
@@ -149,9 +90,7 @@ func (tt tieTopology) VisibleShared(p geo.Point) []constellation.VisibleSat {
 	return []constellation.VisibleSat{{ID: 2, SlantKm: 600}, {ID: 3, SlantKm: 600}}
 }
 
-func (tt tieTopology) PathTree(src constellation.SatID) *routing.SPTree {
-	return tt.g.SPTreeFrom(routing.NodeID(src))
-}
+func (tt tieTopology) ISLGraph() *routing.Graph { return tt.g }
 
 func TestResolvePathViaKeepsEarlierCandidateOnTies(t *testing.T) {
 	m := testModel()

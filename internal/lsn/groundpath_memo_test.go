@@ -35,7 +35,8 @@ func expandedModel() *Model {
 
 // unmemoizedPath is the reference: the ground stage priced by
 // resolvePathVia, which never reads or writes the path memo, on a snapshot
-// the memoized side never touched.
+// the memoized side never touched. (TestGroundStageMatchesReference holds
+// resolvePathVia itself to the exhaustive ResolvePathReference.)
 func (m *Model) unmemoizedPath(fresh *constellation.Snapshot, client geo.Point, iso2 string) (Path, error) {
 	pop, ok := m.Ground.AssignPoPForClient(iso2, client)
 	if !ok {
@@ -62,16 +63,24 @@ func assertMemoizedPath(t *testing.T, m *Model, snap, fresh *constellation.Snaps
 	}
 }
 
-// memoizedPaths returns what the point's slot holds.
-func memoizedPaths(snap *constellation.Snapshot, client geo.Point) []groundPath {
+// memoizedPaths returns the ground paths the point's slot holds (not the
+// fields of a PoP at the point).
+func memoizedPaths(snap *constellation.Snapshot, client geo.Point) []groundEntry {
 	slot := snap.PointSlot(client)
 	if slot == nil {
 		return nil
 	}
-	if v := slot.Load(); v != nil {
-		return (*v).([]groundPath)
+	v := slot.Load()
+	if v == nil {
+		return nil
 	}
-	return nil
+	var paths []groundEntry
+	for _, e := range (*v).([]groundEntry) {
+		if e.field == nil {
+			paths = append(paths, e)
+		}
+	}
+	return paths
 }
 
 // TestGroundPathMemoMatchesUnmemoized is the memo's exactness proof: for
@@ -189,10 +198,10 @@ func TestGroundPathMemoConcurrentFirstCallers(t *testing.T) {
 		if len(got) != n {
 			t.Fatalf("%v: slot holds %d paths, want %d", loc, len(got), n)
 		}
-		seen := make(map[groundPath]bool)
+		seen := make(map[groundEntry]bool)
 		for _, e := range got {
 			if seen[e] {
-				t.Fatalf("%v: %s of one model memoized twice", loc, e.iso2)
+				t.Fatalf("%v: %s of one model memoized twice", loc, e.key)
 			}
 			seen[e] = true
 		}
@@ -224,12 +233,12 @@ func TestGroundPathMemoPublishUnderContention(t *testing.T) {
 				defer wg.Done()
 				if round == 0 {
 					for i := g * perG; i < (g+1)*perG; i++ {
-						m.publishPath(slot, key(i), p)
+						m.publish(slot, groundEntry{model: m, key: key(i), path: p})
 					}
 					return
 				}
 				for _, i := range rand.New(rand.NewSource(int64(g))).Perm(goroutines * perG) {
-					m.publishPath(slot, key(i), p)
+					m.publish(slot, groundEntry{model: m, key: key(i), path: p})
 				}
 			}(g)
 		}
@@ -240,10 +249,10 @@ func TestGroundPathMemoPublishUnderContention(t *testing.T) {
 		}
 		seen := make(map[string]bool)
 		for _, e := range got {
-			if seen[e.iso2] {
-				t.Fatalf("round %d: key %s published twice", round, e.iso2)
+			if seen[e.key] {
+				t.Fatalf("round %d: key %s published twice", round, e.key)
 			}
-			seen[e.iso2] = true
+			seen[e.key] = true
 		}
 	}
 }

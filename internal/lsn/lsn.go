@@ -92,7 +92,8 @@ type Model struct {
 
 // SetTelemetry wires path-computation observability: a wall-time histogram
 // of path computations — ResolvePath's memo misses and errors, and every
-// ResolvePathDegraded; dominated by the per-uplink-candidate Dijkstra sweeps
+// ResolvePathDegraded; a computation is one field-guided search per uplink
+// tried, plus the PoP's field where it is not yet built or settled that far
 // — and an error counter. Pass nil to disable.
 func (m *Model) SetTelemetry(t *telemetry.Telemetry) {
 	if t == nil {
@@ -158,12 +159,14 @@ const maxUplinkCandidates = 6
 // and clients sit at a few hundred fixed points, so it is memoized per
 // snapshot in the client point's ground-memo slot: a hit is a probe and a
 // struct copy, no lock, no allocation and no clock read. Errors are not
-// memoized. The path telemetry observes computations only, so a warm
-// snapshot records nothing.
+// memoized. A miss prices the path with a search that the PoP's reverse
+// field guides (resolvePathVia); the field is memoized the same way, in the
+// slot of the PoP's location. The path telemetry observes computations
+// only, so a warm snapshot records nothing.
 func (m *Model) ResolvePath(client geo.Point, iso2 string, snap *constellation.Snapshot) (Path, error) {
 	slot := snap.PointSlot(client)
 	if slot != nil {
-		if list, i := m.findPath(slot.Load(), iso2); i >= 0 {
+		if list, i := m.find(slot.Load(), iso2, false); i >= 0 {
 			return list[i].path, nil
 		}
 	}
@@ -171,50 +174,56 @@ func (m *Model) ResolvePath(client geo.Point, iso2 string, snap *constellation.S
 	p, err := m.resolvePath(client, iso2, snap)
 	m.observeCompute(start, err)
 	if err == nil && slot != nil {
-		m.publishPath(slot, iso2, p)
+		m.publish(slot, groundEntry{model: m, key: iso2, path: p})
 	}
 	return p, err
 }
 
-// groundPath is one memoized healthy ground path. A ground point's slot
-// holds a copy-on-write list of them, one per (model, country) resolved
-// there: two models over one snapshot can carry different ground catalogs,
-// and the country picks the PoP. This package owns the slot's type.
-type groundPath struct {
+// groundEntry is one value this package keeps in a ground point's memo slot
+// (constellation.Snapshot.PointSlot). A slot holds a copy-on-write list of
+// them: the ground path of a client at the point, per (model, country), and
+// the reverse field of a PoP at the point, per (model, PoP). Two models
+// over one snapshot can carry different ground catalogs, so the model is
+// part of both keys; the country picks the PoP. This package owns the
+// slot's type.
+type groundEntry struct {
 	model *Model
-	iso2  string
+	key   string    // the client's country, or the field's PoP name
+	field *popField // nil for a ground path
 	path  Path
 }
 
-// findPath returns the list a slot value holds (nil for an empty slot) and
-// the index of (m, iso2) in it, or -1.
-func (m *Model) findPath(v *any, iso2 string) ([]groundPath, int) {
+// find returns the list a slot value holds (nil for an empty slot) and the
+// index in it of m's ground path for key, or of m's field for key when
+// field is true; -1 when absent.
+func (m *Model) find(v *any, key string, field bool) ([]groundEntry, int) {
 	if v == nil {
 		return nil, -1
 	}
-	list := (*v).([]groundPath)
+	list := (*v).([]groundEntry)
 	for i := range list {
-		if list[i].model == m && list[i].iso2 == iso2 {
+		if e := &list[i]; e.model == m && e.key == key && (e.field != nil) == field {
 			return list, i
 		}
 	}
 	return list, -1
 }
 
-// publishPath adds (m, iso2) -> p to the slot's list by compare-and-swap of
-// a fresh copy, retrying on a lost race so that no insert is dropped. A
-// racing caller that published the same key first wins; paths are
-// deterministic, so the two are equal.
-func (m *Model) publishPath(slot *atomic.Pointer[any], iso2 string, p Path) {
+// publish adds e to the slot's list by compare-and-swap of a fresh copy,
+// retrying on a lost race so that no insert is dropped, and returns the
+// entry the slot holds for e's key. A racing caller that published the same
+// key first wins, and its entry is returned: paths are deterministic, so
+// the two are equal, and the losers of a field race share the winner's.
+func (m *Model) publish(slot *atomic.Pointer[any], e groundEntry) groundEntry {
 	for {
 		old := slot.Load()
-		list, i := m.findPath(old, iso2)
+		list, i := m.find(old, e.key, e.field != nil)
 		if i >= 0 {
-			return
+			return list[i]
 		}
-		next := any(append(list[:len(list):len(list)], groundPath{model: m, iso2: iso2, path: p}))
+		next := any(append(list[:len(list):len(list)], e))
 		if slot.CompareAndSwap(old, &next) {
-			return
+			return e
 		}
 	}
 }
@@ -241,19 +250,22 @@ func (m *Model) observeCompute(start time.Time, err error) {
 
 // topology is what path resolution prices against: the healthy snapshot, or
 // a fault-masked view of one. Both expose elevation-sorted visibility and
-// memoized shortest-path trees; a masked topology simply lacks the dead
-// satellites and their edges. Visibility goes through the shared (memoized)
-// form: path resolution queries the same ground stations and recurring
-// clients against one snapshot thousands of times, and re-enumerating a
-// visible list that grows with the constellation made the ground stage
-// degrade linearly in satellite count. The shared lists are read-only here —
-// the uplink list is only re-sliced, never written. Only ResolvePath
-// memoizes the whole path, and only over a healthy snapshot: a masked view
-// prices every request afresh, so a degraded epoch is never served a path
-// through a dead satellite.
+// their ISL graph; a masked topology simply lacks the dead satellites and
+// their edges. Visibility goes through the shared (memoized) form: path
+// resolution queries the same ground stations and recurring clients against
+// one snapshot thousands of times, and re-enumerating a visible list that
+// grows with the constellation made the ground stage degrade linearly in
+// satellite count. The shared lists are read-only here — the uplink list is
+// only re-sliced, never written. Only a healthy snapshot memoizes — whole
+// paths in ResolvePath, PoP fields in fieldFor — so a degraded epoch is
+// never served a path or a field through a dead satellite.
+//
+// The ISL graph must be undirected, as every ISL graph is: a PoP's field is
+// a search from its downlink satellites outward, read as the cost from a
+// satellite inward.
 type topology interface {
 	VisibleShared(geo.Point) []constellation.VisibleSat
-	PathTree(constellation.SatID) *routing.SPTree
+	ISLGraph() *routing.Graph
 }
 
 func (m *Model) resolvePath(client geo.Point, iso2 string, snap *constellation.Snapshot) (Path, error) {
@@ -265,107 +277,132 @@ func (m *Model) resolvePath(client geo.Point, iso2 string, snap *constellation.S
 }
 
 // resolvePathVia prices the client's path to one fixed PoP over the given
-// topology — the PoP-assignment-free core of resolvePath.
-func (m *Model) resolvePathVia(snap topology, client geo.Point, pop groundseg.PoP) (Path, error) {
-	ups := snap.VisibleShared(client)
+// topology — the PoP-assignment-free core of resolvePath. The answer is the
+// first cheapest (uplink, station, downlink) triple in that enumeration
+// order, as ResolvePathReference prices them all, but it searches only the
+// ISL corridor between the uplinks and the PoP.
+//
+// The PoP's reverse field (fieldFor) gives, for any satellite, a lower bound
+// on the rest of the path from it: ISL hops, a downlink and the fiber. Each
+// uplink's bound on a whole path is then its radio leg plus its field value,
+// less a microsecond of margin, so the uplinks are tried cheapest bound
+// first, and one whose bound exceeds the incumbent cannot win and is
+// skipped. From each uplink tried, a search guided by the field
+// (routing.GuidedSearch) pops only nodes whose distance plus field value
+// can still beat the incumbent, and prices every (station, downlink) it
+// reaches exactly as the reference does. The guided search returns the
+// same float distance as Dijkstra — the minimum, over all paths, of the
+// left-fold sum from the uplink — so the ISL delay is bit-identical, and
+// the microsecond of margin on every bound absorbs the float rounding of the
+// field's sums and the nanosecond truncation of delays.
+func (m *Model) resolvePathVia(topo topology, client geo.Point, pop groundseg.PoP) (Path, error) {
+	ups := topo.VisibleShared(client)
 	if len(ups) == 0 {
 		return Path{}, fmt.Errorf("%w: client at %v", ErrNoVisibility, client)
 	}
 	if len(ups) > maxUplinkCandidates {
 		ups = ups[:maxUplinkCandidates]
 	}
-	stations := m.Ground.StationsForPoP(pop.Name)
-	if len(stations) == 0 {
-		return Path{}, fmt.Errorf("lsn: PoP %s has no ground stations", pop.Name)
+	f, err := m.fieldFor(topo, pop)
+	if err != nil {
+		return Path{}, err
 	}
-	// Pre-compute visibility and the fiber tail per station.
-	type gsInfo struct {
-		station int // index into stations
-		vis     []constellation.VisibleSat
-		fiber   time.Duration
+	// Order the uplinks by lower bound (insertion sort, stable by index);
+	// an uplink the field cannot reach has no ISL route to the PoP.
+	type upBound struct {
+		i  int
+		lb time.Duration
 	}
-	// A PoP homes a handful of stations (three at most in the embedded
-	// catalog), so the per-request list lives on the stack.
-	var gssBuf [8]gsInfo
-	gss := gssBuf[:0]
-	for i := range stations {
-		vis := snap.VisibleShared(stations[i].Loc)
-		if len(vis) == 0 {
+	var boundBuf [maxUplinkCandidates]upBound
+	bounds := boundBuf[:0]
+	for i, up := range ups {
+		fieldMs := f.tree.Dist(routing.NodeID(up.ID))
+		if math.IsInf(fieldMs, 1) {
 			continue
 		}
-		gss = append(gss, gsInfo{
-			station: i,
-			vis:     vis,
-			fiber:   terrestrial.FiberDelay(geo.HaversineKm(stations[i].Loc, pop.Loc) * 1.4),
-		})
-	}
-	if len(gss) == 0 {
-		return Path{}, fmt.Errorf("%w: no station of PoP %s has coverage", ErrNoVisibility, pop.Name)
-	}
-
-	// Branch and bound over (uplink, station, downlink) in a fixed order,
-	// keeping the first cheapest: only a strictly cheaper candidate replaces
-	// the incumbent. A candidate whose radio and fiber legs alone reach the
-	// incumbent is skipped, and the rest ask the uplink's tree for an ISL leg
-	// within what the incumbent leaves over — the tree then settles no
-	// further than that, instead of out to downlink satellites on the other
-	// half of the shell that no path would ever use. The budget is a
-	// nanosecond generous, so float rounding can only admit a candidate the
-	// exact comparison below then rejects, never prune one that would win.
-	var (
-		bestCost         = time.Duration(math.MaxInt64)
-		bestISL          time.Duration
-		bestUp, bestDown constellation.VisibleSat
-		bestGS           *gsInfo
-		bestTree         *routing.SPTree
-	)
-	for _, up := range ups {
-		// The snapshot memoizes one shortest-path tree per uplink satellite,
-		// so repeated resolves through the same serving satellite — every
-		// client in a city — share what it has already settled.
-		tree := snap.PathTree(up.ID)
-		if tree == nil {
-			continue
+		b := upBound{i, orbit.PropagationDelay(up.SlantKm) + time.Duration(fieldMs*float64(time.Millisecond)) - time.Microsecond}
+		bounds = append(bounds, b)
+		j := len(bounds) - 1
+		for ; j > 0 && bounds[j-1].lb > b.lb; j-- {
+			bounds[j] = bounds[j-1]
 		}
-		upDelay := orbit.PropagationDelay(up.SlantKm)
-		for i := range gss {
-			gi := &gss[i]
-			for _, down := range gi.vis {
-				legs := upDelay + orbit.PropagationDelay(down.SlantKm) + gi.fiber
-				if legs >= bestCost {
-					continue
-				}
-				budgetMs := (float64(bestCost-legs) + 1) / float64(time.Millisecond)
-				islMs, ok := tree.DistWithin(routing.NodeID(down.ID), budgetMs)
-				if !ok {
-					continue
-				}
-				isl := time.Duration(islMs * float64(time.Millisecond))
-				if cost := legs + isl; cost < bestCost {
-					bestCost, bestISL = cost, isl
-					bestUp, bestDown, bestGS, bestTree = up, down, gi, tree
-				}
-			}
-		}
+		bounds[j] = b
 	}
-	if bestTree == nil {
+	s := groundSearch{f: f, bestCost: time.Duration(math.MaxInt64), bestOrd: math.MaxInt64}
+	g := topo.ISLGraph()
+	for _, b := range bounds {
+		if b.lb > s.bestCost {
+			break
+		}
+		s.ui, s.upDelay = b.i, orbit.PropagationDelay(ups[b.i].SlantKm)
+		g.GuidedSearch(routing.NodeID(ups[b.i].ID), s.bound(), s.potential, s.visit)
+	}
+	if s.best == nil {
 		return Path{}, fmt.Errorf("%w: no ISL route to PoP %s", ErrNoVisibility, pop.Name)
 	}
-	best := Path{
+	up := ups[s.bestUp]
+	return Path{
 		Client:        client,
 		PoP:           pop,
-		GS:            stations[bestGS.station],
-		UpSat:         bestUp.ID,
-		DownSat:       bestDown.ID,
-		UplinkDelay:   orbit.PropagationDelay(bestUp.SlantKm),
-		ISLDelay:      bestISL,
-		DownlinkDelay: orbit.PropagationDelay(bestDown.SlantKm),
-		GSFiberDelay:  bestGS.fiber,
+		GS:            f.stations[s.best.station],
+		UpSat:         up.ID,
+		DownSat:       s.best.sat,
+		UplinkDelay:   orbit.PropagationDelay(up.SlantKm),
+		ISLDelay:      s.bestISL,
+		ISLHops:       s.bestHops,
+		DownlinkDelay: s.best.delay,
+		GSFiberDelay:  s.best.fiber,
+	}, nil
+}
+
+// groundSearch is resolvePathVia's state across its guided searches: the
+// uplink being searched from and the incumbent, the first cheapest
+// (uplink, station, downlink) so far.
+type groundSearch struct {
+	f       *popField
+	ui      int           // index of the uplink searched from
+	upDelay time.Duration // its radio leg
+
+	bestCost time.Duration
+	bestOrd  int64 // uplink index << 32 | the downlink's rank
+	bestUp   int
+	best     *fieldDown
+	bestISL  time.Duration
+	bestHops int
+}
+
+// bound is the search bound in ms: what the incumbent leaves over for the
+// ISL, downlink and fiber legs from the current uplink, plus a microsecond.
+func (s *groundSearch) bound() float64 {
+	return (float64(s.bestCost-s.upDelay) + float64(time.Microsecond)) / float64(time.Millisecond)
+}
+
+// potential is the guided search's h: the field's value at v, refused
+// beyond budget.
+func (s *groundSearch) potential(v routing.NodeID, budget float64) (float64, bool) {
+	return s.f.tree.DistWithin(v, budget)
+}
+
+// visit prices every (station, downlink) at a popped satellite against the
+// incumbent and returns the bound the incumbent leaves. Only a cheaper
+// triple, or an equal one earlier in enumeration order, replaces it; the
+// incumbent itself popped again, at a smaller distance, refreshes its hop
+// count from the shorter path.
+func (s *groundSearch) visit(v routing.NodeID, distMs float64, hops int) float64 {
+	if !s.f.isDown.Test(int(v)) {
+		return s.bound()
 	}
-	if best.UpSat != best.DownSat {
-		best.ISLHops, _ = bestTree.HopsTo(routing.NodeID(best.DownSat))
+	isl := time.Duration(distMs * float64(time.Millisecond))
+	for i := s.f.firstDown(constellation.SatID(v)); i < len(s.f.downs) && s.f.downs[i].sat == constellation.SatID(v); i++ {
+		d := &s.f.downs[i]
+		cost := s.upDelay + d.delay + d.fiber + isl
+		ord := int64(s.ui)<<32 | int64(d.rank)
+		if cost < s.bestCost || cost == s.bestCost && ord <= s.bestOrd {
+			s.bestCost, s.bestOrd, s.bestUp, s.best = cost, ord, s.ui, d
+			s.bestISL, s.bestHops = isl, hops
+		}
 	}
-	return best, nil
+	return s.bound()
 }
 
 // ResolvePathDegraded computes the subscriber path over a fault-masked

@@ -37,12 +37,14 @@ type spItem struct {
 // scratch is one reusable query workspace. The per-node slices grow to the
 // largest graph seen and are then reused across queries and graph sizes.
 type scratch struct {
-	epoch uint32
-	stamp []uint32 // dist/prev valid iff stamp[i] == epoch
-	dist  []float64
-	prev  []int32
-	heap  spHeap  // Dijkstra priority queue
-	queue []int32 // BFS frontier, consumed via a head cursor
+	epoch  uint32
+	stamp  []uint32 // dist/prev/hops valid iff stamp[i] == epoch
+	dist   []float64
+	prev   []int32
+	hops   []int32  // edge count of the path dist prices (GuidedSearch)
+	closed []uint32 // expanded at its current dist iff closed[i] == epoch (GuidedSearch)
+	heap   spHeap   // Dijkstra priority queue
+	queue  []int32  // BFS frontier, consumed via a head cursor
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
@@ -54,14 +56,15 @@ func getScratch(n int) *scratch {
 		sc.stamp = make([]uint32, n)
 		sc.dist = make([]float64, n)
 		sc.prev = make([]int32, n)
+		sc.hops = make([]int32, n)
+		sc.closed = make([]uint32, n)
 	}
 	sc.epoch++
 	if sc.epoch == 0 {
 		// Wrapped: stale stamps from four billion queries ago could collide
 		// with the new epoch, so clear once and restart at 1.
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
+		clear(sc.stamp)
+		clear(sc.closed)
 		sc.epoch = 1
 	}
 	sc.heap = sc.heap[:0]
@@ -92,30 +95,33 @@ func (sc *scratch) distAt(i int32) float64 {
 // spHeap is the Dijkstra priority queue: a binary min-heap on dist.
 type spHeap []spItem
 
-// push appends an item and sifts it up. The comparison and swap pattern
-// match container/heap's up() exactly.
+// push appends an item and sifts it up. It makes the comparisons of
+// container/heap's up() and ends in the same arrangement; it moves each
+// displaced parent down once instead of swapping.
 func (hp *spHeap) push(node int32, d float64) {
-	*hp = append(*hp, spItem{dist: d, node: node})
+	*hp = append(*hp, spItem{})
 	h := *hp
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !(h[j].dist < h[i].dist) {
+		if !(d < h[i].dist) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = spItem{dist: d, node: node}
 }
 
 // pop removes and returns the minimum item. It mirrors container/heap's
-// Pop: swap root with the last element, sift down over the shortened heap
-// (left child preferred unless the right is strictly smaller), then cut the
-// tail — so ties pop in the same order as the boxed implementation did.
+// Pop: the last element takes the root's place and sifts down over the
+// shortened heap (left child preferred unless the right is strictly
+// smaller), so ties pop in the same order as the boxed implementation did;
+// the sifted element is held aside and written once where it stops.
 func (hp *spHeap) pop() spItem {
 	h := *hp
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
+	top, x := h[0], h[n]
 	i := 0
 	for {
 		j1 := 2*i + 1
@@ -126,13 +132,13 @@ func (hp *spHeap) pop() spItem {
 		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
 			j = j2
 		}
-		if !(h[j].dist < h[i].dist) {
+		if !(h[j].dist < x.dist) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
-	it := h[n]
+	h[i] = x
 	*hp = h[:n]
-	return it
+	return top
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -229,6 +230,36 @@ func TestShortestPathZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("NearestInSet allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestGuidedSearchZeroAlloc: a guided search, its potential a lazy tree
+// and its visitor lowering the bound, allocates nothing once the scratch
+// pool is warm.
+func TestGuidedSearchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the hot path")
+	}
+	rng := rand.New(rand.NewSource(3))
+	g := randomGraph(rng, 128, 100)
+	field := g.SPTreeFromSources([]NodeID{90, 17}, []float64{0.5, 2})
+	field.Dist(NodeID(5)) // settle what the searches read
+	bound, pops := math.Inf(1), 0
+	h := func(v NodeID, budget float64) (float64, bool) { return field.DistWithin(v, budget) }
+	visit := func(v NodeID, d float64, hops int) float64 {
+		pops++
+		if v == 90 {
+			bound = d + 0.5
+		}
+		return bound
+	}
+	g.GuidedSearch(5, math.Inf(1), h, visit)
+	allocs := testing.AllocsPerRun(200, func() {
+		bound = math.Inf(1)
+		g.GuidedSearch(5, bound, h, visit)
+	})
+	if allocs != 0 || pops == 0 {
+		t.Fatalf("GuidedSearch allocs/op = %v over %d pops, want 0", allocs, pops)
 	}
 }
 

@@ -8,14 +8,20 @@ import (
 	"spacecdn/internal/parallel"
 )
 
-// SPTree is a single-source shortest-path tree that settles on demand: it
-// owns Dijkstra's state (tentative distances, predecessors, the priority
-// queue) and a query resumes the search only until the asked node is popped.
-// Pricing a handful of nearby nodes therefore costs a handful of pops, not a
-// pass over the graph, while a query for a far node pays for everything
-// nearer on the way. Because a resumed search pops in exactly the order of an
-// uninterrupted one, every distance, predecessor and tie is the one a full
-// Dijkstra from the source settles, whatever the order of the queries.
+// SPTree is a shortest-path tree that settles on demand: it owns Dijkstra's
+// state (tentative distances, predecessors, the priority queue) and a query
+// resumes the search only until the asked node is popped. Pricing a handful
+// of nearby nodes therefore costs a handful of pops, not a pass over the
+// graph, while a query for a far node pays for everything nearer on the way.
+// Because a resumed search pops in exactly the order of an uninterrupted one,
+// every distance, predecessor and tie is the one a full Dijkstra from the
+// root settles, whatever the order of the queries.
+//
+// The root is a virtual source joined to each of the tree's sources at that
+// source's initial distance (SPTreeFromSources), so a node's distance is the
+// least, over the sources, of the initial distance plus the path from that
+// source; a one-source tree at distance 0 (SPTreeFrom) is plain
+// single-source Dijkstra. Predecessor chains end at a source.
 //
 // A tree is the unit of sharing for per-snapshot memoization and is safe for
 // concurrent use. A node's settled bit is published atomically once its
@@ -33,31 +39,48 @@ import (
 // queried after SetCSRWeightsUndirected refreshes that graph.
 type SPTree struct {
 	g    *Graph
-	src  NodeID
+	src  NodeID    // the first source
 	dist []float64 // final where settled; tentative or +Inf elsewhere
-	prev []int32   // -1 where no predecessor
+	prev []int32   // -1 at a source and where no predecessor
 	done []atomic.Uint32
 
 	// frontier is math.Float64bits of the heap's least distance as of the
-	// last locked resume (+Inf once exhausted; the zero value is the source's
-	// own distance 0).
+	// last locked resume (+Inf once exhausted); set at construction to the
+	// least initial distance.
 	frontier atomic.Uint64
 
 	mu   sync.Mutex // guards heap and the unsettled part of dist/prev
 	heap spHeap     // nil once the search is exhausted
 }
 
-// SPTreeFrom roots a shortest-path tree at src. Nothing is settled until the
-// tree is asked. Returns nil when src is out of range.
+// SPTreeFrom roots a shortest-path tree at src: the one-source case of
+// SPTreeFromSources, at distance 0. Nothing is settled until the tree is
+// asked. Returns nil when src is out of range.
 func (g *Graph) SPTreeFrom(src NodeID) *SPTree {
+	return g.SPTreeFromSources([]NodeID{src}, []float64{0})
+}
+
+// SPTreeFromSources roots a shortest-path tree at a virtual source joined to
+// each srcs[i] at distance d0[i]: every node's distance is the least
+// d0[i] + (path from srcs[i]), summed left to right from d0[i]. A source
+// listed twice keeps its smaller initial distance (the first on a tie).
+// Nothing is settled until the tree is asked. Returns nil when there are no
+// sources, the slices differ in length, a source is out of range or an
+// initial distance is negative or NaN. Neither slice is retained.
+func (g *Graph) SPTreeFromSources(srcs []NodeID, d0 []float64) *SPTree {
 	n := len(g.adj)
-	if src < 0 || int(src) >= n {
+	if len(srcs) == 0 || len(srcs) != len(d0) {
 		return nil
+	}
+	for i, s := range srcs {
+		if s < 0 || int(s) >= n || !(d0[i] >= 0) {
+			return nil
+		}
 	}
 	ops.dijkstras.Add(parallel.StripeHint(), 1)
 	t := &SPTree{
 		g:    g,
-		src:  src,
+		src:  srcs[0],
 		dist: make([]float64, n),
 		prev: make([]int32, n),
 		done: make([]atomic.Uint32, (n+31)/32),
@@ -66,12 +89,17 @@ func (g *Graph) SPTreeFrom(src NodeID) *SPTree {
 		t.dist[i] = math.Inf(1)
 		t.prev[i] = -1
 	}
-	t.dist[src] = 0
-	t.heap.push(int32(src), 0)
+	for i, s := range srcs {
+		if d0[i] < t.dist[s] {
+			t.dist[s] = d0[i]
+			t.heap.push(int32(s), d0[i])
+		}
+	}
+	t.frontier.Store(math.Float64bits(t.heap[0].dist))
 	return t
 }
 
-// Src returns the tree's source node.
+// Src returns the tree's (first) source node.
 func (t *SPTree) Src() NodeID { return t.src }
 
 // Len returns the number of nodes the tree covers.
@@ -79,7 +107,7 @@ func (t *SPTree) Len() int { return len(t.dist) }
 
 func (t *SPTree) settled(n int32) bool { return t.done[n>>5].Load()&(1<<uint(n&31)) != 0 }
 
-// Dist returns the shortest distance from the source to n, or +Inf when n is
+// Dist returns the shortest distance from the root to n, or +Inf when n is
 // unreachable or out of range.
 func (t *SPTree) Dist(n NodeID) float64 {
 	d, _ := t.DistWithin(n, math.Inf(1))
@@ -156,22 +184,22 @@ func (t *SPTree) settle(n int32, budget float64) bool {
 // Reachable reports whether n can be reached from the source.
 func (t *SPTree) Reachable(n NodeID) bool { return !math.IsInf(t.Dist(n), 1) }
 
-// HopsTo returns the edge count of the shortest path from the source to n by
-// walking the predecessor chain — no allocation. ok is false when n is
-// unreachable or out of range.
+// HopsTo returns the edge count of the shortest path to n from the source it
+// leaves, by walking the predecessor chain — no allocation. ok is false when
+// n is unreachable or out of range.
 func (t *SPTree) HopsTo(n NodeID) (int, bool) {
 	if !t.Reachable(n) {
 		return 0, false
 	}
 	hops := 0
-	for at := int32(n); NodeID(at) != t.src && t.prev[at] != -1; at = t.prev[at] {
+	for at := int32(n); t.prev[at] != -1; at = t.prev[at] {
 		hops++
 	}
 	return hops, true
 }
 
-// PathTo materializes the shortest path from the source to n. ok is false
-// when n is unreachable or out of range.
+// PathTo materializes the shortest path to n from the source it leaves. ok
+// is false when n is unreachable or out of range.
 func (t *SPTree) PathTo(n NodeID) (Path, bool) {
 	hops, ok := t.HopsTo(n)
 	if !ok {
@@ -181,7 +209,7 @@ func (t *SPTree) PathTo(n NodeID) (Path, bool) {
 	at := int32(n)
 	for i := hops; ; i-- {
 		nodes[i] = NodeID(at)
-		if NodeID(at) == t.src || t.prev[at] == -1 {
+		if t.prev[at] == -1 {
 			break
 		}
 		at = t.prev[at]

@@ -10,8 +10,9 @@
 #   build  go build
 #   test   go test
 #   race   go test -race, then the lock-free pieces' tests again at -count=5
-#          -cpu 1,2,4 — the ground-point memo and the ground paths lsn keeps
-#          in its entries, and the path-tree table, the SPTree frontier
+#          -cpu 1,2,4 — the ground-point memo and the ground paths and PoP
+#          fields lsn keeps in its entries, and the path-tree table, the
+#          SPTree frontier
 #          rule-out and the striped counters/histograms of the shared-nothing
 #          read path: a CAS-published table is exactly the code one -race
 #          pass at one GOMAXPROCS can miss; then the resolve
@@ -29,8 +30,11 @@
 #          scans, over random Walker shells, instants and raw ground-point
 #          literals; then 10 s of FuzzGroundMemo: point sequences that collide
 #          in the ground-point memo's table, where BestVisible must equal its
-#          scan and the memoized lsn ResolvePath the unmemoized path, on a
-#          fresh snapshot and on a sweep cursor (30 s in all)
+#          scan and the memoized lsn ResolvePath the exhaustive
+#          ResolvePathReference, on a fresh snapshot and on a sweep cursor;
+#          then 10 s of FuzzSPTree: random graphs with tied weights, where the
+#          lazy one- and multi-source SPTree and the guided search must equal
+#          a full Dijkstra (40 s in all)
 #   determinism  build cmd/spacecdn once, run every experiment (-exp all
 #          -json) at -workers 1 and at -workers 4, and require byte-identical
 #          output
@@ -103,7 +107,7 @@ stage_test() {
 stage_race() {
 	go test -race ./...
 	go test -race -count=5 -cpu 1,2,4 -run 'Visib|TestGroundMemo' ./internal/constellation
-	go test -race -count=5 -cpu 1,2,4 -run 'GroundPathMemo' ./internal/lsn
+	go test -race -count=5 -cpu 1,2,4 -run 'GroundPathMemo|FieldPublish' ./internal/lsn
 	go test -race -count=5 -cpu 1,2,4 -run 'PathTree|SPTree|LazyTreeConcurrent|Striped|Histogram|Counter' \
 		./internal/routing ./internal/constellation ./internal/telemetry ./internal/parallel
 	go test -race -count=3 -cpu 1,2,4 -run 'ResolveAt|Lifecycle|Applier|Stress' ./internal/spacecdn ./internal/serve
@@ -127,6 +131,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzResolveQuery -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz FuzzVisibility -fuzztime 10s ./internal/constellation
 	go test -run '^$' -fuzz FuzzGroundMemo -fuzztime 10s ./internal/constellation
+	go test -run '^$' -fuzz FuzzSPTree -fuzztime 10s ./internal/routing
 }
 
 stage_benchmod() {
