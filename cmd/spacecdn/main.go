@@ -5,7 +5,7 @@
 //	spacecdn -exp table1|fig2|fig3|fig4|fig5|fig7|fig8|ablation-replicas|capacity|workload|resilience|traffic|lifecycle|scale-bench|all
 //	         [-fast] [-seed N] [-json] [-city NAME] [-workers N]
 //	         [-metrics-out FILE] [-trace-sample RATE]
-//	         [-series-out FILE] [-series-window DUR] [-trace-out FILE]
+//	         [-series-out FILE] [-series-window DUR]
 //	         [-serve ADDR] [-serve-linger DUR]
 //	         [-fault-isls F] [-fault-pops F] [-fault-seed N]
 //	spacecdn -list
@@ -24,17 +24,15 @@
 // so the request counters and RTT histogram are populated; -trace-sample
 // sets the fraction of requests retained as traces.
 //
-// -series-out adds the time/space-resolved layer: a windowed series collector
-// rides the sweep cursor (window width set by -series-window, default 1m of
-// sim time) and the artifact — per-window counter deltas, per-window
-// histogram quantiles, the spatial heatmap and sweep-step spans — is written
-// as JSON when the run ends. -trace-out writes the sampled request traces and
-// sweep-step spans as Perfetto/Chrome trace-event JSON (load it at
-// ui.perfetto.dev). -serve starts a live introspection endpoint on ADDR
-// (host:0 picks a free port; the bound address is printed) with /metrics,
-// /series, /traces, /healthz and /debug/pprof/; -serve-linger keeps it up
-// that long after the experiments finish so a scraper can catch the final
-// state. Any of these flags attaches telemetry, same as -metrics-out.
+// -series-out adds the time-resolved layer: a windowed series collector rides
+// the sweep cursor (window width set by -series-window, default 1m of sim
+// time) and its snapshot — per-window counter deltas and per-window histogram
+// quantiles — is written as JSON when the run ends. -serve starts a live
+// introspection endpoint on ADDR (host:0 picks a free port; the bound address
+// is printed) with /metrics, /series, /traces (the sampled request traces as
+// JSON), /healthz and /debug/pprof/; -serve-linger keeps it up that long
+// after the experiments finish so a scraper can catch the final state. Either
+// flag attaches telemetry, same as -metrics-out.
 //
 // The -fault-* flags tune the resilience experiment: -fault-isls / -fault-pops
 // pin the ISL and PoP failure fractions (negative, the default, derives them
@@ -71,10 +69,9 @@ type options struct {
 	Workers     int
 	List        bool
 
-	// Time/space-resolved observability (any of these attaches telemetry).
+	// Time-resolved observability (any of these attaches telemetry).
 	SeriesOut    string
 	SeriesWindow time.Duration
-	TraceOut     string
 	Serve        string
 	ServeLinger  time.Duration
 
@@ -106,9 +103,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.Float64Var(&opts.TraceSample, "trace-sample", opts.TraceSample, "fraction of resolve requests retained as traces (with -metrics-out)")
 	fs.IntVar(&opts.Workers, "workers", opts.Workers, "worker goroutines per experiment (0 = one per CPU; results are identical for any value)")
 	fs.BoolVar(&opts.List, "list", opts.List, "list registered experiments and exit")
-	fs.StringVar(&opts.SeriesOut, "series-out", opts.SeriesOut, "write the windowed series + spatial heatmap artifact (JSON) to this file")
+	fs.StringVar(&opts.SeriesOut, "series-out", opts.SeriesOut, "write the windowed series (JSON) to this file")
 	fs.DurationVar(&opts.SeriesWindow, "series-window", opts.SeriesWindow, "sim-time width of each metric window (with -series-out or -serve)")
-	fs.StringVar(&opts.TraceOut, "trace-out", opts.TraceOut, "write sampled traces + sweep steps as Perfetto trace-event JSON to this file")
 	fs.StringVar(&opts.Serve, "serve", opts.Serve, "serve live introspection (/metrics /series /traces /healthz /debug/pprof) on this host:port; host:0 picks a port")
 	fs.DurationVar(&opts.ServeLinger, "serve-linger", opts.ServeLinger, "keep the -serve endpoint up this long after experiments finish")
 	fs.Float64Var(&opts.FaultISLs, "fault-isls", opts.FaultISLs, "resilience: ISL failure fraction (negative = half the satellite fraction)")
@@ -144,12 +140,11 @@ func run(w io.Writer, opts options) error {
 	suite.FaultPoPFraction = opts.FaultPoPs
 	suite.FaultSeed = opts.FaultSeed
 	var tel *telemetry.Telemetry
-	if opts.MetricsOut != "" || opts.SeriesOut != "" || opts.TraceOut != "" || opts.Serve != "" {
+	if opts.MetricsOut != "" || opts.SeriesOut != "" || opts.Serve != "" {
 		tel = telemetry.New(opts.TraceSample)
-		if opts.SeriesOut != "" || opts.TraceOut != "" || opts.Serve != "" {
-			// The series collector rides the experiments' sweep cursors; it
-			// also supplies the sweep-step spans the Perfetto export and the
-			// /series endpoint carry.
+		if opts.SeriesOut != "" || opts.Serve != "" {
+			// The series collector rides the experiments' sweep cursors and
+			// backs the /series endpoint.
 			tel.SetSeries(telemetry.NewSeriesCollector(tel.Registry(), opts.SeriesWindow, 0))
 		}
 		suite.SetTelemetry(tel)
@@ -196,12 +191,6 @@ func run(w io.Writer, opts options) error {
 			return fmt.Errorf("series-out: %w", err)
 		}
 		fmt.Fprintf(w, "series written to %s\n", opts.SeriesOut)
-	}
-	if opts.TraceOut != "" {
-		if err := writeArtifact(opts.TraceOut, tel.WritePerfettoJSON); err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		fmt.Fprintf(w, "perfetto trace written to %s\n", opts.TraceOut)
 	}
 	if srv != nil && opts.ServeLinger > 0 {
 		fmt.Fprintf(w, "lingering %v for scrapes\n", opts.ServeLinger)

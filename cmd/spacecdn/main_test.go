@@ -202,7 +202,7 @@ func TestParseFlagsRoundTrip(t *testing.T) {
 		"-city", "Nairobi", "-metrics-out", "m.prom",
 		"-trace-sample", "0.5", "-workers", "4", "-list",
 		"-series-out", "s.json", "-series-window", "30s",
-		"-trace-out", "t.json", "-serve", "127.0.0.1:0", "-serve-linger", "2s",
+		"-serve", "127.0.0.1:0", "-serve-linger", "2s",
 		"-fault-isls", "0.25", "-fault-pops", "0.125", "-fault-seed", "9",
 	})
 	if err != nil {
@@ -213,7 +213,7 @@ func TestParseFlagsRoundTrip(t *testing.T) {
 		City: "Nairobi", MetricsOut: "m.prom", TraceSample: 0.5, Workers: 4,
 		List: true, FaultISLs: 0.25, FaultPoPs: 0.125, FaultSeed: 9,
 		SeriesOut: "s.json", SeriesWindow: 30 * time.Second,
-		TraceOut: "t.json", Serve: "127.0.0.1:0", ServeLinger: 2 * time.Second,
+		Serve: "127.0.0.1:0", ServeLinger: 2 * time.Second,
 	}
 	if opts != want {
 		t.Errorf("parsed = %+v, want %+v", opts, want)

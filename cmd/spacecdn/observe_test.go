@@ -38,15 +38,14 @@ func (b *syncBuffer) String() string {
 var listenLine = regexp.MustCompile(`introspection listening on (http://\S+)`)
 
 // TestRunObservability drives the full observability surface through run():
-// series and Perfetto artifacts on disk, plus a live introspection endpoint
+// the series artifact on disk, plus a live introspection endpoint
 // scraped while the process is still serving (the linger window).
 func TestRunObservability(t *testing.T) {
 	dir := t.TempDir()
 	seriesOut := filepath.Join(dir, "series.json")
-	traceOut := filepath.Join(dir, "trace.json")
 	opts := options{
 		Exp: "workload", Fast: true, Seed: 1, TraceSample: 1,
-		SeriesOut: seriesOut, SeriesWindow: time.Minute, TraceOut: traceOut,
+		SeriesOut: seriesOut, SeriesWindow: time.Minute,
 		Serve: "127.0.0.1:0", ServeLinger: 3 * time.Second,
 		FaultISLs: -1, FaultPoPs: -1,
 	}
@@ -87,30 +86,34 @@ func TestRunObservability(t *testing.T) {
 	if code, _ := get("/series"); code != 200 {
 		t.Errorf("/series = %d", code)
 	}
+	code, body := get("/traces")
+	var traces []telemetry.RequestTrace
+	if err := json.Unmarshal([]byte(body), &traces); code != 200 || err != nil {
+		t.Errorf("/traces = %d, parse error %v", code, err)
+	}
 
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
 	// The series artifact: windows present, resolve counters in them, and
-	// deltas summing to a positive request count; the spatial block rides
-	// along.
+	// deltas summing to a positive request count.
 	raw, err := os.ReadFile(seriesOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var art telemetry.SeriesArtifact
-	if err := json.Unmarshal(raw, &art); err != nil {
+	var series telemetry.SeriesSnapshot
+	if err := json.Unmarshal(raw, &series); err != nil {
 		t.Fatalf("series artifact does not parse: %v", err)
 	}
-	if art.Series.WindowNs != time.Minute {
-		t.Errorf("windowNs = %v, want 1m", art.Series.WindowNs)
+	if series.WindowNs != time.Minute {
+		t.Errorf("windowNs = %v, want 1m", series.WindowNs)
 	}
-	if len(art.Series.Windows) < 2 {
-		t.Fatalf("series windows = %d, want the workload's sim span", len(art.Series.Windows))
+	if len(series.Windows) < 2 {
+		t.Fatalf("series windows = %d, want the workload's sim span", len(series.Windows))
 	}
 	var resolved int64
-	for _, w := range art.Series.Windows {
+	for _, w := range series.Windows {
 		for _, cv := range w.Counters {
 			if cv.Name == "spacecdn_resolve_requests_total" {
 				resolved += cv.Value
@@ -120,33 +123,7 @@ func TestRunObservability(t *testing.T) {
 	if resolved == 0 {
 		t.Error("no resolve request deltas in any window")
 	}
-	if len(art.Series.Steps) == 0 {
-		t.Error("no sweep steps in the series artifact")
-	}
-	if art.Spatial == nil || len(art.Spatial.Cells) == 0 {
-		t.Error("spatial block missing or empty")
-	}
-
-	// The Perfetto artifact parses and carries request slices.
-	raw, err = os.ReadFile(traceOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace telemetry.PerfettoTrace
-	if err := json.Unmarshal(raw, &trace); err != nil {
-		t.Fatalf("perfetto artifact does not parse: %v", err)
-	}
-	reqSlices := 0
-	for _, ev := range trace.TraceEvents {
-		if ev.Cat == "resolve" {
-			reqSlices++
-		}
-	}
-	if reqSlices == 0 {
-		t.Errorf("perfetto trace has no request slices among %d events", len(trace.TraceEvents))
-	}
-
-	for _, want := range []string{"series written to", "perfetto trace written to", "lingering"} {
+	for _, want := range []string{"series written to", "lingering"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %q:\n%s", want, out.String())
 		}

@@ -3,19 +3,18 @@ package constellation
 import "time"
 
 // CursorObserver receives cursor progress: a Tick with the new sim time
-// after every advance, and a RecordStep with the advance's sim interval and
-// wall-clock cost. telemetry.SeriesCollector satisfies it — this interface
-// exists so the constellation package stays free of a telemetry dependency.
+// after every advance. telemetry.SeriesCollector satisfies it — this
+// interface exists so the constellation package stays free of a telemetry
+// dependency.
 type CursorObserver interface {
 	Tick(t time.Duration)
-	RecordStep(prev, at, wall time.Duration)
 }
 
 // ObserveCursor wraps a cursor so every advance reports to the observer —
 // the hook the windowed series collector rides to key metric windows by sim
-// time and to collect sweep-step phase spans. The observer is ticked once at
-// the current position so the first window aligns to the cursor's start. A
-// nil observer returns the cursor unwrapped.
+// time. The observer is ticked once at the current position so the first
+// window aligns to the cursor's start. A nil observer returns the cursor
+// unwrapped.
 func ObserveCursor(c Cursor, o CursorObserver) Cursor {
 	if o == nil {
 		return c
@@ -35,25 +34,13 @@ func (c *observedCursor) Step() time.Duration { return c.inner.Step() }
 func (c *observedCursor) Close()              { c.inner.Close() }
 
 func (c *observedCursor) Advance() *Snapshot {
-	prev := c.inner.Time()
-	start := time.Now()
 	s := c.inner.Advance()
-	c.report(prev, start)
+	c.o.Tick(c.inner.Time())
 	return s
 }
 
 func (c *observedCursor) AdvanceTo(t time.Duration) *Snapshot {
-	prev := c.inner.Time()
-	start := time.Now()
 	s := c.inner.AdvanceTo(t)
-	c.report(prev, start)
+	c.o.Tick(c.inner.Time())
 	return s
-}
-
-func (c *observedCursor) report(prev time.Duration, start time.Time) {
-	at := c.inner.Time()
-	if at != prev {
-		c.o.RecordStep(prev, at, time.Since(start))
-	}
-	c.o.Tick(at)
 }

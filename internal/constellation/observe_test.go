@@ -5,18 +5,12 @@ import (
 	"time"
 )
 
-// recordingObserver captures Tick/RecordStep calls for assertion.
+// recordingObserver captures Tick calls for assertion.
 type recordingObserver struct {
 	ticks []time.Duration
-	steps [][2]time.Duration // prev, at
-	walls []time.Duration
 }
 
 func (o *recordingObserver) Tick(t time.Duration) { o.ticks = append(o.ticks, t) }
-func (o *recordingObserver) RecordStep(prev, at, wall time.Duration) {
-	o.steps = append(o.steps, [2]time.Duration{prev, at})
-	o.walls = append(o.walls, wall)
-}
 
 func TestObserveCursorReportsAdvances(t *testing.T) {
 	c := small()
@@ -30,7 +24,7 @@ func TestObserveCursorReportsAdvances(t *testing.T) {
 	}
 	cur.Advance()
 	cur.AdvanceTo(2 * time.Minute)
-	cur.AdvanceTo(2 * time.Minute) // no movement: Tick only, no step span
+	cur.AdvanceTo(2 * time.Minute) // no movement: still ticks
 	if got := cur.Time(); got != 2*time.Minute {
 		t.Fatalf("cursor time = %v", got)
 	}
@@ -41,18 +35,6 @@ func TestObserveCursorReportsAdvances(t *testing.T) {
 	for i, want := range wantTicks {
 		if obs.ticks[i] != want {
 			t.Fatalf("ticks = %v, want %v", obs.ticks, wantTicks)
-		}
-	}
-	if len(obs.steps) != 2 {
-		t.Fatalf("steps = %v, want two (the no-op advance records none)", obs.steps)
-	}
-	if obs.steps[0] != [2]time.Duration{0, 30 * time.Second} ||
-		obs.steps[1] != [2]time.Duration{30 * time.Second, 2 * time.Minute} {
-		t.Errorf("step intervals = %v", obs.steps)
-	}
-	for i, w := range obs.walls {
-		if w <= 0 {
-			t.Errorf("step %d wall time = %v, want > 0", i, w)
 		}
 	}
 }

@@ -118,10 +118,11 @@ func (m *Manager) IssuePurge(obj content.ID, topo Topology, seed constellation.S
 // the ISSUE's "one ground bounce per cell" framing.
 const cellDegrees = 10.0
 
-// Cell quantizes a ground point into the coalescing cell grid.
+// Cell quantizes a ground point into the coalescing cell grid. Longitude
+// wraps (200° is −160°); latitude clamps to the poles' rows.
 func Cell(p geo.Point) int {
 	row := int((p.LatDeg + 90) / cellDegrees)
-	col := int((p.LonDeg + 180) / cellDegrees)
+	col := int((geo.NormalizeLonDeg(p.LonDeg) + 180) / cellDegrees)
 	maxRow := int(180/cellDegrees) - 1
 	maxCol := int(360/cellDegrees) - 1
 	if row < 0 {

@@ -263,6 +263,29 @@ func TestCellQuantization(t *testing.T) {
 	}
 }
 
+// TestCellWrapsLongitude: raw longitudes outside [-180, 180] land in the
+// cell of the meridian they denote, the same cell as the normalised point.
+func TestCellWrapsLongitude(t *testing.T) {
+	cases := []struct {
+		lon  float64
+		want int // cell index at lat 10: row 10 of 18, 36 columns
+	}{
+		{200, 362},  // -160°
+		{-200, 394}, // 160°
+		{530, 395},  // 170°
+		{181, 360},  // -179°
+	}
+	for _, c := range cases {
+		raw := Cell(geo.Point{LatDeg: 10, LonDeg: c.lon})
+		if raw != c.want {
+			t.Errorf("Cell(lat 10, lon %v) = %d, want %d", c.lon, raw, c.want)
+		}
+		if norm := Cell(geo.NewPoint(10, c.lon)); norm != raw {
+			t.Errorf("lon %v: raw cell %d, normalised cell %d", c.lon, raw, norm)
+		}
+	}
+}
+
 func TestFreshnessStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for _, f := range FreshnessValues() {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"spacecdn/internal/cache"
-	"spacecdn/internal/geo"
 	"spacecdn/internal/lsn"
 	"spacecdn/internal/routing"
 	"spacecdn/internal/telemetry"
@@ -40,26 +39,12 @@ type instruments struct {
 	lcCoalesced    *telemetry.Counter
 	lcInconsistent *telemetry.Counter
 	lcPurgeMs      *telemetry.Histogram
-
-	// spatial attributes each request to the serving satellite and the
-	// client's lat/lon cell — the where-in-orbit heatmap. Shared across every
-	// system wired to the same telemetry bundle.
-	spatial *telemetry.Spatial
-}
-
-// spatialSourceEvents maps a Source to its spatial event kind; the
-// [numSources] bound makes a source added without a mapping a compile error.
-var spatialSourceEvents = [numSources]telemetry.SpatialEvent{
-	SourceOverhead: telemetry.SpatialOverhead,
-	SourceISL:      telemetry.SpatialISL,
-	SourceGround:   telemetry.SpatialGround,
 }
 
 // resolveDetail carries the latency components of one resolution so record
 // can decompose the RTT into trace spans. It is filled by assignment only —
 // the instrumented path allocates nothing until a request is sampled.
 type resolveDetail struct {
-	client    geo.Point     // requesting terminal, for spatial attribution
 	uplinkRTT time.Duration // two-way terminal <-> overhead satellite
 	islRTT    time.Duration // two-way ISL leg incl. per-hop switching (ISL source)
 	ground    lsn.Path      // resolved ground path (ground source)
@@ -110,7 +95,6 @@ func (s *System) SetTelemetry(t *telemetry.Telemetry) {
 	in.lcCoalesced = reg.Counter("lifecycle_coalesced_total")
 	in.lcInconsistent = reg.Counter("lifecycle_inconsistent_serves_total")
 	in.lcPurgeMs = reg.Histogram("lifecycle_purge_propagation_ms", telemetry.LatencyBucketsMs)
-	in.spatial = t.EnableSpatial(len(s.caches))
 
 	// Fleet and routing state is cheap to read but pointless to push per
 	// request; a collector samples it at exposition time. The collector only
@@ -212,26 +196,20 @@ func (s *System) Telemetry() *telemetry.Telemetry {
 
 // record accounts one Resolve outcome: counters and histograms always, a
 // full trace only when the sink samples this request. Every counter and
-// histogram update lands on the caller's stripe (see resolveRecorded). The
-// spatial heatmap's slots are not striped: each request bumps its client's
-// cell slot, and a space serve two slots of its satellite, so concurrent
-// resolvers share those lines as well as the sampler's arrival counter.
+// histogram update lands on the caller's stripe (see resolveRecorded); the
+// only line concurrent resolvers share is the sampler's arrival counter.
 func (in *instruments) record(stripe int, res Resolution, err error, d *resolveDetail) {
 	if d.degraded {
 		// Failovers count even when the request ultimately errors: the
-		// reroute attempt happened. They heat the client's cell (the region
-		// degraded service hit), not a satellite.
+		// reroute attempt happened.
 		if d.uplinkFailover {
 			in.failovers[FailoverUplink].AddAt(stripe, 1)
-			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
 		}
 		if d.replicaFailover {
 			in.failovers[FailoverReplica].AddAt(stripe, 1)
-			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
 		}
 		if d.popFailover {
 			in.failovers[FailoverPoP].AddAt(stripe, 1)
-			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
 		}
 	}
 	if err != nil {
@@ -244,14 +222,6 @@ func (in *instruments) record(stripe int, res Resolution, err error, d *resolveD
 		in.degradedRTT.ObserveAt(stripe, rttMs)
 	}
 	in.requests[res.Source].AddAt(stripe, 1)
-	ev := spatialSourceEvents[res.Source]
-	in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, ev)
-	if res.Source != SourceGround {
-		// Space sources heat the serving satellite; every space serve is by
-		// definition a cache hit on that satellite's shard.
-		in.spatial.RecordSat(int(res.Sat), ev)
-		in.spatial.RecordSat(int(res.Sat), telemetry.SpatialCacheHit)
-	}
 	in.rttMs.ObserveAt(stripe, rttMs)
 	hops := res.Hops
 	if res.Source == SourceGround && d.hasGround {

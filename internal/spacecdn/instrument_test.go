@@ -211,73 +211,6 @@ func TestResolveTelemetryErrors(t *testing.T) {
 	}
 }
 
-// TestResolveSpatialHeatmap drives one request through each source and
-// checks the spatial attribution: the client's cell accumulates one event per
-// source, and every space-served request heats the serving satellite with its
-// source event plus a cache hit.
-func TestResolveSpatialHeatmap(t *testing.T) {
-	s := newSystem(t, DefaultConfig())
-	tel := telemetry.New(0)
-	s.SetTelemetry(tel)
-	t.Cleanup(func() { s.SetTelemetry(nil) })
-	snap := testConst.Snapshot(0)
-	maputo := geo.NewPoint(-25.9692, 32.5732)
-	rng := stats.NewRand(7)
-	hot, warm, cold := telemetryFixture(t, s, snap, maputo)
-
-	sats := map[content.ID]constellation.SatID{}
-	for _, o := range []content.Object{hot, warm, cold} {
-		res, err := s.Resolve(maputo, "MZ", o, snap, rng)
-		if err != nil {
-			t.Fatalf("resolve %s: %v", o.ID, err)
-		}
-		sats[o.ID] = res.Sat
-	}
-
-	sp := tel.Spatial()
-	if sp == nil {
-		t.Fatal("SetTelemetry did not provision the spatial accumulator")
-	}
-	if sp.NumSats() != testConst.Total() {
-		t.Fatalf("spatial sized for %d sats, want %d", sp.NumSats(), testConst.Total())
-	}
-	heat := sp.Snapshot()
-	// All three requests came from one client, so exactly one cell is hot,
-	// with one event per source.
-	if len(heat.Cells) != 1 {
-		t.Fatalf("hot cells = %+v, want exactly one (the client's)", heat.Cells)
-	}
-	cell := heat.Cells[0]
-	if cell.Overhead != 1 || cell.ISL != 1 || cell.Ground != 1 || cell.Failovers != 0 {
-		t.Errorf("client cell counts = %+v, want one of each source", cell.HeatCounts)
-	}
-	// The cell really is Maputo's: its center sits within half a cell width.
-	if d := cell.LatDeg - maputo.LatDeg; d < -5 || d > 5 {
-		t.Errorf("cell center lat %v too far from client %v", cell.LatDeg, maputo.LatDeg)
-	}
-
-	bySat := map[int]telemetry.SatHeat{}
-	for _, sh := range heat.Sats {
-		bySat[sh.Sat] = sh
-	}
-	over := bySat[int(sats[hot.ID])]
-	if over.Overhead != 1 || over.CacheHits != 1 {
-		t.Errorf("overhead sat heat = %+v, want overhead=1 cacheHits=1", over.HeatCounts)
-	}
-	isl := bySat[int(sats[warm.ID])]
-	if isl.ISL != 1 || isl.CacheHits != 1 {
-		t.Errorf("isl sat heat = %+v, want isl=1 cacheHits=1", isl.HeatCounts)
-	}
-	// The ground-served request heats no satellite.
-	var total int64
-	for _, sh := range heat.Sats {
-		total += sh.Total()
-	}
-	if total != 4 {
-		t.Errorf("summed satellite heat = %d, want 4 (2 sources + 2 cache hits)", total)
-	}
-}
-
 // TestResolveDisabledPathAllocs pins the telemetry cost model: a detached
 // system resolves with exactly the allocations of a never-instrumented one,
 // an attached-but-unsampled request adds none on top (counters and

@@ -139,7 +139,6 @@ func (s *System) resolveRecorded(ep *Epoch, req *Request, rng *stats.Rand, it *l
 		return s.resolveStaged(ep, req, rng, nil, it)
 	}
 	var d resolveDetail
-	d.client = req.Client
 	res, err := s.resolveStaged(ep, req, rng, &d, it)
 	if stripe < 0 {
 		stripe = parallel.StripeHint()

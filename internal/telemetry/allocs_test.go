@@ -13,7 +13,6 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 	var h *Histogram
 	var sink *TraceSink
 	var sc *SeriesCollector
-	var sp *Spatial
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
@@ -21,27 +20,11 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		h.Observe(3)
 		h.Observe(1)
 		sc.Tick(time.Minute)
-		sc.RecordStep(0, time.Minute, time.Millisecond)
-		sp.RecordSat(3, SpatialISL)
-		sp.RecordCell(10, 20, SpatialGround)
 		if _, ok := sink.Sample(); ok {
 			t.Fatal("nil sink sampled")
 		}
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %v per op, want 0", n)
-	}
-}
-
-// Enabled spatial records are single atomic adds into pre-sized arrays; they
-// ride every resolve, so they must not allocate.
-func TestEnabledSpatialZeroAllocs(t *testing.T) {
-	sp := NewSpatial(8, 0, 0)
-	if n := testing.AllocsPerRun(1000, func() {
-		sp.RecordSat(3, SpatialISL)
-		sp.RecordSat(3, SpatialCacheHit)
-		sp.RecordCell(48.8, 2.3, SpatialOverhead)
-	}); n != 0 {
-		t.Fatalf("enabled spatial path allocates %v per op, want 0", n)
 	}
 }
 

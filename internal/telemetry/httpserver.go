@@ -20,8 +20,8 @@ import (
 // Routes:
 //
 //	/metrics        Prometheus text exposition (live registry)
-//	/series         SeriesArtifact JSON (windowed series + spatial heatmap)
-//	/traces         Perfetto trace-event JSON (sampled traces + sweep steps)
+//	/series         SeriesSnapshot JSON (the windowed series)
+//	/traces         the sampled RequestTraces as JSON, oldest first
 //	/healthz        liveness probe, "ok"
 //	/debug/pprof/*  net/http/pprof profiles
 func Handler(t *Telemetry) http.Handler {
@@ -41,7 +41,7 @@ func Handler(t *Telemetry) http.Handler {
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = t.WritePerfettoJSON(w)
+		_ = writeJSON(w, t.Traces().Traces())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

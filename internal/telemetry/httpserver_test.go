@@ -31,8 +31,6 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	tel.SetSeries(sc)
 	sc.Tick(0)
 	sc.Tick(90 * time.Second)
-	sc.RecordStep(0, 90*time.Second, time.Millisecond)
-	tel.EnableSpatial(4).RecordSat(1, SpatialOverhead)
 
 	srv, err := Serve("127.0.0.1:0", tel)
 	if err != nil {
@@ -52,23 +50,23 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/series = %d", code)
 	}
-	var art SeriesArtifact
-	if err := json.Unmarshal([]byte(body), &art); err != nil {
+	var series SeriesSnapshot
+	if err := json.Unmarshal([]byte(body), &series); err != nil {
 		t.Fatalf("/series does not parse: %v", err)
 	}
-	if len(art.Series.Windows) == 0 || art.Spatial == nil || len(art.Spatial.Sats) != 1 {
-		t.Errorf("/series artifact incomplete: %+v", art)
+	if len(series.Windows) == 0 {
+		t.Errorf("/series snapshot incomplete: %+v", series)
 	}
 	code, body = scrape(t, base, "/traces")
 	if code != 200 {
 		t.Fatalf("/traces = %d", code)
 	}
-	var trace PerfettoTrace
-	if err := json.Unmarshal([]byte(body), &trace); err != nil {
+	var traces []RequestTrace
+	if err := json.Unmarshal([]byte(body), &traces); err != nil {
 		t.Fatalf("/traces does not parse: %v", err)
 	}
-	if len(trace.TraceEvents) == 0 {
-		t.Error("/traces carries no events")
+	if len(traces) != 1 || traces[0].Sat != 7 || traces[0].SpanSum() != traces[0].RTT {
+		t.Errorf("/traces = %+v, want the one sampled trace with spans summing to its RTT", traces)
 	}
 	if code, body := scrape(t, base, "/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Errorf("/debug/pprof/cmdline = %d", code)
@@ -76,14 +74,13 @@ func TestIntrospectionEndpoints(t *testing.T) {
 }
 
 // TestIntrospectionConcurrentScrapes hammers every endpoint while writers are
-// still mutating the registry, the series collector and the spatial table —
+// still mutating the registry, the series collector and the trace sink —
 // the live-scrape-during-a-sweep contract, checked under -race by verify.
 func TestIntrospectionConcurrentScrapes(t *testing.T) {
 	tel := New(1)
 	reg := tel.Registry()
 	sc := NewSeriesCollector(reg, time.Minute, 0)
 	tel.SetSeries(sc)
-	sp := tel.EnableSpatial(16)
 
 	srv, err := Serve("127.0.0.1:0", tel)
 	if err != nil {
@@ -104,9 +101,6 @@ func TestIntrospectionConcurrentScrapes(t *testing.T) {
 				c.Inc()
 				h.Observe(float64(i % 40))
 				sc.Tick(time.Duration(i) * 10 * time.Second)
-				sc.RecordStep(0, time.Second, time.Microsecond)
-				sp.RecordSat(i%16, SpatialISL)
-				sp.RecordCell(float64(i%90), float64(i%180), SpatialGround)
 				if _, ok := tel.Traces().Sample(); ok {
 					tel.Traces().Add(RequestTrace{Seq: uint64(i), Source: "isl"})
 				}
@@ -222,12 +216,12 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if res.code != 200 {
 		t.Fatalf("in-flight scrape status %d during shutdown", res.code)
 	}
-	var art SeriesArtifact
-	if err := json.Unmarshal([]byte(res.body), &art); err != nil {
+	var series SeriesSnapshot
+	if err := json.Unmarshal([]byte(res.body), &series); err != nil {
 		t.Fatalf("drained scrape body truncated: %v", err)
 	}
-	if len(art.Series.Windows) == 0 {
-		t.Fatalf("drained scrape artifact incomplete: %+v", art)
+	if len(series.Windows) == 0 {
+		t.Fatalf("drained scrape snapshot incomplete: %+v", series)
 	}
 	if err := <-closed; err != nil {
 		t.Fatalf("Close after drain: %v", err)

@@ -28,8 +28,6 @@ const (
 	DefaultSeriesWindow = time.Minute
 	// DefaultMaxWindows bounds the window ring.
 	DefaultMaxWindows = 512
-	// maxStepSpans bounds the sweep-step span ring.
-	maxStepSpans = 4096
 )
 
 // SeriesWindow is one closed (or still-open) window of metric deltas.
@@ -61,15 +59,6 @@ type WindowedHistogram struct {
 	P99    float64           `json:"p99"`
 }
 
-// StepSpan records one cursor advance: the sim interval it covered and the
-// wall time the advance itself took — the sweep-step phase spans the Perfetto
-// export lays out on the sweep track.
-type StepSpan struct {
-	PrevNs time.Duration `json:"prevNs"` // sim time before the advance
-	AtNs   time.Duration `json:"atNs"`   // sim time after the advance
-	WallNs time.Duration `json:"wallNs"` // wall-clock cost of the advance
-}
-
 // SeriesSnapshot is the JSON form of the collector's state.
 type SeriesSnapshot struct {
 	WindowNs time.Duration `json:"windowNs"`
@@ -77,8 +66,6 @@ type SeriesSnapshot struct {
 	// sum-of-deltas-equals-aggregate invariant no longer covers the artifact.
 	DroppedWindows int            `json:"droppedWindows,omitempty"`
 	Windows        []SeriesWindow `json:"windows"`
-	Steps          []StepSpan     `json:"steps,omitempty"`
-	DroppedSteps   int            `json:"droppedSteps,omitempty"`
 }
 
 // histCapture is one histogram's state at a capture point.
@@ -140,10 +127,6 @@ type SeriesCollector struct {
 	base    seriesCapture // registry state when the open window started
 	windows []SeriesWindow
 	dropped int
-
-	steps        []StepSpan
-	stepNext     int
-	droppedSteps int
 }
 
 // NewSeriesCollector creates a collector over a registry. Non-positive
@@ -279,23 +262,6 @@ func (sc *SeriesCollector) deltaWindowLocked(now seriesCapture) SeriesWindow {
 	return w
 }
 
-// RecordStep retains one cursor-advance phase span in a fixed ring.
-func (sc *SeriesCollector) RecordStep(prev, at, wall time.Duration) {
-	if sc == nil {
-		return
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	span := StepSpan{PrevNs: prev, AtNs: at, WallNs: wall}
-	if len(sc.steps) < maxStepSpans {
-		sc.steps = append(sc.steps, span)
-		return
-	}
-	sc.steps[sc.stepNext] = span
-	sc.stepNext = (sc.stepNext + 1) % len(sc.steps)
-	sc.droppedSteps++
-}
-
 // Snapshot returns the closed windows plus the current open window (computed
 // against a fresh capture, without advancing the collector), oldest first.
 // Safe to call while ticks are still arriving.
@@ -308,7 +274,6 @@ func (sc *SeriesCollector) Snapshot() SeriesSnapshot {
 	out := SeriesSnapshot{
 		WindowNs:       sc.window,
 		DroppedWindows: sc.dropped,
-		DroppedSteps:   sc.droppedSteps,
 		Windows:        append([]SeriesWindow(nil), sc.windows...),
 	}
 	if sc.started {
@@ -317,7 +282,5 @@ func (sc *SeriesCollector) Snapshot() SeriesSnapshot {
 		open.Open = true
 		out.Windows = append(out.Windows, open)
 	}
-	out.Steps = append(out.Steps, sc.steps[sc.stepNext:]...)
-	out.Steps = append(out.Steps, sc.steps[:sc.stepNext]...)
 	return out
 }

@@ -210,41 +210,9 @@ func TestSeriesRingEviction(t *testing.T) {
 	}
 }
 
-func TestSeriesStepSpans(t *testing.T) {
-	r := NewRegistry()
-	sc := NewSeriesCollector(r, time.Minute, 0)
-	sc.RecordStep(0, 30*time.Second, 2*time.Millisecond)
-	sc.RecordStep(30*time.Second, time.Minute, time.Millisecond)
-	snap := sc.Snapshot()
-	if len(snap.Steps) != 2 || snap.DroppedSteps != 0 {
-		t.Fatalf("steps = %+v dropped = %d", snap.Steps, snap.DroppedSteps)
-	}
-	if snap.Steps[0].AtNs != 30*time.Second || snap.Steps[1].PrevNs != 30*time.Second {
-		t.Errorf("step spans out of order: %+v", snap.Steps)
-	}
-}
-
-func TestSeriesStepRingEviction(t *testing.T) {
-	r := NewRegistry()
-	sc := NewSeriesCollector(r, time.Minute, 0)
-	total := maxStepSpans + 10
-	for i := 0; i < total; i++ {
-		sc.RecordStep(time.Duration(i), time.Duration(i+1), 0)
-	}
-	snap := sc.Snapshot()
-	if len(snap.Steps) != maxStepSpans || snap.DroppedSteps != 10 {
-		t.Fatalf("steps = %d dropped = %d, want %d/%d", len(snap.Steps), snap.DroppedSteps, maxStepSpans, 10)
-	}
-	// Oldest-first: the first retained span is the 11th recorded.
-	if snap.Steps[0].PrevNs != 10 {
-		t.Errorf("steps[0].PrevNs = %v, want 10 (oldest retained)", snap.Steps[0].PrevNs)
-	}
-}
-
 func TestSeriesNilSafety(t *testing.T) {
 	var sc *SeriesCollector
 	sc.Tick(time.Minute)
-	sc.RecordStep(0, time.Minute, time.Millisecond)
 	if snap := sc.Snapshot(); len(snap.Windows) != 0 || snap.WindowNs != 0 {
 		t.Errorf("nil collector snapshot = %+v, want zero", snap)
 	}

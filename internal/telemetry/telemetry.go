@@ -27,17 +27,14 @@ import (
 )
 
 // Telemetry bundles a metrics registry with a trace sink — the unit a
-// subsystem accepts to become observable — plus two optional time/space
-// resolved components: a windowed series collector (attached by the consumer
-// driving a sim-time cursor) and a spatial accumulator (auto-provisioned by
-// the first system that knows the constellation size). A nil *Telemetry
-// disables everything it would instrument.
+// subsystem accepts to become observable — plus an optional windowed series
+// collector, attached by the consumer driving a sim-time cursor. A nil
+// *Telemetry disables everything it would instrument.
 type Telemetry struct {
 	reg  *Registry
 	sink *TraceSink
 
-	series  atomic.Pointer[SeriesCollector]
-	spatial atomic.Pointer[Spatial]
+	series atomic.Pointer[SeriesCollector]
 }
 
 // DefaultTraceCapacity is the ring-buffer size used by New.
@@ -87,69 +84,10 @@ func (t *Telemetry) Series() *SeriesCollector {
 	return t.series.Load()
 }
 
-// SetSpatial attaches a spatial accumulator.
-func (t *Telemetry) SetSpatial(sp *Spatial) {
-	if t == nil {
-		return
-	}
-	t.spatial.Store(sp)
-}
-
-// Spatial returns the attached spatial accumulator, or nil.
-func (t *Telemetry) Spatial() *Spatial {
-	if t == nil {
-		return nil
-	}
-	return t.spatial.Load()
-}
-
-// EnableSpatial returns the bundle's spatial accumulator, creating one sized
-// for numSats satellites over the default cell grid when none is attached
-// yet. Systems call this at wiring time so every system instrumented with
-// the same bundle shares one heatmap.
-func (t *Telemetry) EnableSpatial(numSats int) *Spatial {
-	if t == nil {
-		return nil
-	}
-	for {
-		if sp := t.spatial.Load(); sp != nil {
-			return sp
-		}
-		sp := NewSpatial(numSats, 0, 0)
-		if t.spatial.CompareAndSwap(nil, sp) {
-			return sp
-		}
-	}
-}
-
-// SeriesArtifact is the time/space-resolved companion to Snapshot: the
-// windowed series block plus the spatial heatmap table, the content of
-// TELEMETRY_series.json.
-type SeriesArtifact struct {
-	Series  SeriesSnapshot   `json:"series"`
-	Spatial *SpatialSnapshot `json:"spatial,omitempty"`
-}
-
-// SeriesArtifact captures the series and spatial state (zero value for a nil
-// Telemetry or missing components).
-func (t *Telemetry) SeriesArtifact() SeriesArtifact {
-	art := SeriesArtifact{Series: t.Series().Snapshot()}
-	if sp := t.Spatial(); sp != nil {
-		snap := sp.Snapshot()
-		art.Spatial = &snap
-	}
-	return art
-}
-
-// WriteSeriesJSON writes the series artifact as indented JSON.
+// WriteSeriesJSON writes the windowed series snapshot as indented JSON, the
+// content of TELEMETRY_series.json and /series.
 func (t *Telemetry) WriteSeriesJSON(w io.Writer) error {
-	return writeJSON(w, t.SeriesArtifact())
-}
-
-// WritePerfettoJSON writes the sampled request traces and the recorded
-// sweep-step spans as a Perfetto-loadable trace.
-func (t *Telemetry) WritePerfettoJSON(w io.Writer) error {
-	return WritePerfetto(w, t.Traces().Traces(), t.Series().Snapshot().Steps)
+	return writeJSON(w, t.Series().Snapshot())
 }
 
 // Snapshot captures the registry and the sampled traces as one JSON-ready

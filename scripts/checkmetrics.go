@@ -3,7 +3,7 @@
 // Command checkmetrics asserts the telemetry artifacts written by
 // cmd/spacecdn are well-formed.
 //
-//	go run ./scripts/checkmetrics.go [-lifecycle] [-serve] METRICS.json [SERIES.json [TRACE.json]]
+//	go run ./scripts/checkmetrics.go [-lifecycle] [-serve] METRICS.json [SERIES.json]
 //
 // METRICS.json (from -metrics-out) must parse as a telemetry.Snapshot with
 // non-zero per-source request counters, an RTT histogram with ordered
@@ -20,13 +20,9 @@
 // observations and ordered quantiles.
 //
 // SERIES.json (from -series-out), when given, must parse as a
-// telemetry.SeriesArtifact whose per-window counter deltas and histogram
+// telemetry.SeriesSnapshot whose per-window counter deltas and histogram
 // counts sum exactly to the aggregates in METRICS.json (skipped with a notice
-// when windows were evicted from the ring), with sweep steps recorded and a
-// populated spatial heatmap.
-//
-// TRACE.json (from -trace-out), when given, must parse as a Perfetto trace
-// object with at least one resolve slice. Used by scripts/verify.sh as the
+// when windows were evicted from the ring). Used by scripts/verify.sh as the
 // smoke and observe stages.
 package main
 
@@ -55,8 +51,8 @@ func main() {
 		args = args[1:]
 	}
 parsed:
-	if len(args) < 1 || len(args) > 3 {
-		fmt.Fprintln(os.Stderr, "usage: checkmetrics [-lifecycle] [-serve] METRICS.json [SERIES.json [TRACE.json]]")
+	if len(args) < 1 || len(args) > 2 {
+		fmt.Fprintln(os.Stderr, "usage: checkmetrics [-lifecycle] [-serve] METRICS.json [SERIES.json]")
 		os.Exit(2)
 	}
 	snap := checkMetrics(args[0])
@@ -68,9 +64,6 @@ parsed:
 	}
 	if len(args) > 1 {
 		checkSeries(args[1], snap)
-	}
-	if len(args) > 2 {
-		checkTrace(args[2])
 	}
 }
 
@@ -229,26 +222,20 @@ func checkSeries(path string, snap telemetry.Snapshot) {
 	if err != nil {
 		fail("series read: %v", err)
 	}
-	var art telemetry.SeriesArtifact
-	if err := json.Unmarshal(data, &art); err != nil {
+	var series telemetry.SeriesSnapshot
+	if err := json.Unmarshal(data, &series); err != nil {
 		fail("series parse: %v", err)
 	}
-	if art.Series.WindowNs <= 0 {
-		fail("series windowNs = %v, want > 0", art.Series.WindowNs)
+	if series.WindowNs <= 0 {
+		fail("series windowNs = %v, want > 0", series.WindowNs)
 	}
-	if len(art.Series.Windows) == 0 {
+	if len(series.Windows) == 0 {
 		fail("series has no windows")
-	}
-	if len(art.Series.Steps) == 0 {
-		fail("series has no sweep steps — the cursor wrapper is not wired")
-	}
-	if art.Spatial == nil || len(art.Spatial.Cells) == 0 {
-		fail("series artifact has no spatial heatmap")
 	}
 
 	counterSums := map[string]int64{}
 	histSums := map[string]int64{}
-	for _, w := range art.Series.Windows {
+	for _, w := range series.Windows {
 		for _, cv := range w.Counters {
 			counterSums[seriesKey(cv.Name, cv.Labels)] += cv.Value
 		}
@@ -256,11 +243,11 @@ func checkSeries(path string, snap telemetry.Snapshot) {
 			histSums[seriesKey(wh.Name, wh.Labels)] += wh.Count
 		}
 	}
-	if art.Series.DroppedWindows > 0 {
+	if series.DroppedWindows > 0 {
 		// Evicted windows took their deltas with them; the exact-sum check
 		// no longer applies, but presence checks above still ran.
 		fmt.Printf("checkmetrics: series OK (%d windows, %d dropped — delta sums not checked)\n",
-			len(art.Series.Windows), art.Series.DroppedWindows)
+			len(series.Windows), series.DroppedWindows)
 		return
 	}
 	for _, cv := range snap.Counters {
@@ -275,36 +262,7 @@ func checkSeries(path string, snap telemetry.Snapshot) {
 				seriesKey(hv.Name, hv.Labels), got, hv.Count)
 		}
 	}
-	fmt.Printf("checkmetrics: series OK (%d windows, %d steps, %d hot cells, deltas match aggregates)\n",
-		len(art.Series.Windows), len(art.Series.Steps), len(art.Spatial.Cells))
-}
-
-func checkTrace(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail("trace read: %v", err)
-	}
-	var trace telemetry.PerfettoTrace
-	if err := json.Unmarshal(data, &trace); err != nil {
-		fail("trace parse: %v", err)
-	}
-	if trace.DisplayTimeUnit != "ms" {
-		fail("trace displayTimeUnit = %q", trace.DisplayTimeUnit)
-	}
-	resolve := 0
-	for _, ev := range trace.TraceEvents {
-		if ev.Ph != "X" && ev.Ph != "M" {
-			fail("trace event %q has phase %q", ev.Name, ev.Ph)
-		}
-		if ev.Cat == "resolve" {
-			resolve++
-		}
-	}
-	if resolve == 0 {
-		fail("perfetto trace has no resolve slices among %d events", len(trace.TraceEvents))
-	}
-	fmt.Printf("checkmetrics: trace OK (%d events, %d resolve slices)\n",
-		len(trace.TraceEvents), resolve)
+	fmt.Printf("checkmetrics: series OK (%d windows, deltas match aggregates)\n", len(series.Windows))
 }
 
 func fail(format string, args ...any) {

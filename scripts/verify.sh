@@ -34,7 +34,11 @@
 #          ResolvePathReference, on a fresh snapshot and on a sweep cursor;
 #          then 10 s of FuzzSPTree: random graphs with tied weights, where the
 #          lazy one- and multi-source SPTree and the guided search must equal
-#          a full Dijkstra (40 s in all)
+#          a full Dijkstra; then 10 s of FuzzSweep: random Walker shells,
+#          starts, steps and Advance/AdvanceTo patterns, where the ISL graph
+#          of a sweep cursor (driven through ObserveCursor) and of a masked
+#          view built from it must equal a fresh snapshot's bit for bit
+#          (50 s in all)
 #   determinism  build cmd/spacecdn once, run every experiment (-exp all
 #          -json) at -workers 1 and at -workers 4, and require byte-identical
 #          output
@@ -46,8 +50,7 @@
 #          introspection endpoint is scraped mid-flight (/healthz /metrics
 #          /series /traces), then the windowed-series artifact
 #          (TELEMETRY_series.json) is checked for the delta-sum invariant
-#          against the metrics snapshot and the Perfetto trace for loadable
-#          shape
+#          against the metrics snapshot
 #   staticcheck  honnef.co/go/tools staticcheck when the binary is on PATH
 #          (skipped with a notice otherwise — the container image does not
 #          bake it in; CI installs it)
@@ -132,6 +135,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzVisibility -fuzztime 10s ./internal/constellation
 	go test -run '^$' -fuzz FuzzGroundMemo -fuzztime 10s ./internal/constellation
 	go test -run '^$' -fuzz FuzzSPTree -fuzztime 10s ./internal/routing
+	go test -run '^$' -fuzz FuzzSweep -fuzztime 10s ./internal/constellation
 }
 
 stage_benchmod() {
@@ -154,16 +158,16 @@ stage_observe() {
 	# live endpoint even after the fast workload finishes.
 	"$out/spacecdn" -exp workload -fast \
 		-metrics-out "$out/metrics.json" -trace-sample 0.05 \
-		-series-out TELEMETRY_series.json -trace-out "$out/trace.json" \
+		-series-out TELEMETRY_series.json \
 		-serve 127.0.0.1:0 -serve-linger 8s >"$out/run.log" 2>&1 &
 	pid=$!
 	go run ./scripts/scrape.go "$out/run.log" \
 		/healthz ok \
 		/metrics "" \
 		/series windowNs \
-		/traces traceEvents
+		/traces rttNs
 	wait "$pid"
-	go run ./scripts/checkmetrics.go "$out/metrics.json" TELEMETRY_series.json "$out/trace.json"
+	go run ./scripts/checkmetrics.go "$out/metrics.json" TELEMETRY_series.json
 }
 
 stage_bench() {
