@@ -13,7 +13,9 @@
 // cities), attaches a content-lifecycle manager, and serves:
 //
 //	/resolve?lat=&lon=&iso2=&obj=   resolve one request on the current epoch
-//	/metrics /series /traces /healthz /debug/pprof   telemetry introspection
+//	/metrics /traces /healthz /debug/pprof   telemetry introspection
+//
+// The daemon attaches no series collector, so /series answers 404.
 //
 // Every -interval of wall time the sweeper publishes a fresh epoch -step
 // further into sim time; requests pin epochs with one atomic load and are

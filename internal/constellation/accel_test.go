@@ -60,19 +60,6 @@ func TestBestVisibleGridMatchesScan(t *testing.T) {
 	}
 }
 
-func TestNearestGridMatchesScan(t *testing.T) {
-	c := MustNew(DefaultConfig())
-	rng := rand.New(rand.NewSource(44))
-	snap := c.Snapshot(11 * time.Minute)
-	for _, pt := range randomPoints(rng, 120) {
-		want := snap.NearestScan(pt)
-		got := snap.Nearest(pt)
-		if got != want {
-			t.Fatalf("%v: grid nearest %+v != scan %+v", pt, got, want)
-		}
-	}
-}
-
 func TestBestVisibleZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")

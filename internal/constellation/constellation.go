@@ -538,27 +538,6 @@ func (s *Snapshot) BestVisibleScan(ground geo.Point) (VisibleSat, bool) {
 	return vis[0], true
 }
 
-// Nearest returns the satellite with the smallest straight-line distance to
-// the ground point, regardless of the elevation mask. It never fails for a
-// non-empty constellation. The grid-backed search widens its angular window
-// until the best candidate provably beats everything outside the window.
-func (s *Snapshot) Nearest(ground geo.Point) VisibleSat {
-	return s.grid.nearest(s, ground)
-}
-
-// NearestScan is the reference implementation of Nearest: a linear scan over
-// every satellite. Kept for equivalence tests and benchmark baselines.
-func (s *Snapshot) NearestScan(ground geo.Point) VisibleSat {
-	g := ground.ToECEF()
-	best := VisibleSat{ID: -1, SlantKm: math.Inf(1)}
-	for id, p := range s.pos {
-		if d := p.Sub(g).Norm(); d < best.SlantKm {
-			best = VisibleSat{ID: SatID(id), SlantKm: d, ElevationDeg: geo.ElevationDeg(g, p)}
-		}
-	}
-	return best
-}
-
 // UpDownDelay returns the one-way radio propagation delay between the ground
 // point and the given satellite.
 func (s *Snapshot) UpDownDelay(ground geo.Point, id SatID) time.Duration {

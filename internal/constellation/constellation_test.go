@@ -278,15 +278,15 @@ func TestBestVisibleAgreesWithVisible(t *testing.T) {
 	}
 }
 
-func TestNearestAlwaysReturns(t *testing.T) {
+// TestBestVisibleIsNearestVisible: on a single-altitude shell the highest
+// satellite is also the closest one in view, and a point outside the
+// shell's coverage has none.
+func TestBestVisibleIsNearestVisible(t *testing.T) {
 	c := MustNew(DefaultConfig())
 	s := c.Snapshot(0)
-	n := s.Nearest(geo.NewPoint(89.9, 0))
-	if n.ID < 0 || n.SlantKm <= 0 {
-		t.Errorf("Nearest failed at pole: %+v", n)
+	if best, ok := s.BestVisible(geo.NewPoint(89.9, 0)); ok {
+		t.Errorf("53 degree shell visible from the pole: %+v", best)
 	}
-	// Nearest from a covered location must match the smallest slant in
-	// Visible when something is visible.
 	loc := geo.NewPoint(50.1, 8.7)
 	vis := s.Visible(loc)
 	if len(vis) == 0 {
@@ -298,8 +298,8 @@ func TestNearestAlwaysReturns(t *testing.T) {
 			minSlant = v.SlantKm
 		}
 	}
-	if got := s.Nearest(loc).SlantKm; got > minSlant+1e-9 {
-		t.Errorf("Nearest slant %v exceeds min visible slant %v", got, minSlant)
+	if best, _ := s.BestVisible(loc); best.SlantKm > minSlant+1e-9 {
+		t.Errorf("BestVisible slant %v exceeds min visible slant %v", best.SlantKm, minSlant)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"spacecdn/internal/constellation"
+	"spacecdn/internal/faults"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/groundseg"
 	"spacecdn/internal/lsn"
+	"spacecdn/internal/routing"
 )
 
 var (
@@ -80,6 +82,13 @@ func collidingPool(fixed []geo.Point, home int, rng *rand.Rand) []geo.Point {
 // (and ground paths and PoP fields) along the probe chains, BestVisible
 // equals BestVisibleScan and the memoized ResolvePath equals the exhaustive
 // lsn.ResolvePathReference, which reads and writes neither paths nor fields.
+//
+// Each run also draws a fault state — 2*kill dead satellites and the
+// non-zero fault epoch kill+1, so kill 0 is a pass-through masked view
+// under a fault epoch — and asks ResolveGround under it twice per op, the
+// second a memo hit. Where the reference over the masked view resolves the
+// assigned PoP, both answers equal it without failover; where it fails, each
+// answer is an error or a failover to another PoP.
 func FuzzGroundMemo(f *testing.F) {
 	// Each op byte is (combo << 4 | point): pairs asks a point for
 	// Mozambique through one model and then the other (and the reverse),
@@ -102,22 +111,27 @@ func FuzzGroundMemo(f *testing.F) {
 	for _, p := range memoFixed {
 		if h := constellation.GroundHome(p); byHome[h] > 1 && seeded < 4 {
 			byHome[h] = 0
-			f.Add(uint32(7*60*1000), uint16(h), int64(seeded), pairs)
-			f.Add(uint32(seeded*3600*1000), uint16(h), int64(seeded), combos)
+			f.Add(uint32(7*60*1000), uint16(h), int64(seeded), pairs, uint8(40*seeded))
+			f.Add(uint32(seeded*3600*1000), uint16(h), int64(seeded), combos, uint8(40*seeded+20))
 			seeded++
 		}
 	}
-	f.Add(uint32(0), uint16(constellation.GroundMemoSlots-3), int64(1), pairs) // the window wraps
-	f.Add(uint32(60*1000), uint16(constellation.GroundHome(geo.Point{LatDeg: 22, LonDeg: 200})), int64(2), combos)
+	f.Add(uint32(0), uint16(constellation.GroundMemoSlots-3), int64(1), pairs, uint8(255)) // the window wraps
+	f.Add(uint32(60*1000), uint16(constellation.GroundHome(geo.Point{LatDeg: 22, LonDeg: 200})), int64(2), combos, uint8(7))
 	f.Fuzz(groundMemoCase)
 }
 
-func groundMemoCase(t *testing.T, ms uint32, home uint16, seed int64, ops []byte) {
+func groundMemoCase(t *testing.T, ms uint32, home uint16, seed int64, ops []byte, kill uint8) {
 	if len(ops) > 48 {
 		ops = ops[:48]
 	}
 	at := time.Duration(ms%(86400*1000)) * time.Millisecond
-	pool := collidingPool(memoFixed, int(home)%constellation.GroundMemoSlots, rand.New(rand.NewSource(seed)))
+	rng := rand.New(rand.NewSource(seed))
+	pool := collidingPool(memoFixed, int(home)%constellation.GroundMemoSlots, rng)
+	fv := &faults.View{Epoch: uint64(kill) + 1, DeadSats: routing.NewBitset(fuzzConst.Total())}
+	for i := 0; i < 2*int(kill); i++ {
+		fv.DeadSats.Set(rng.Intn(fuzzConst.Total()))
+	}
 
 	// The cursor's previous step memoizes the whole pool, and ground paths
 	// for the first few points, so the probe chains of the step under test
@@ -129,6 +143,7 @@ func groundMemoCase(t *testing.T, ms uint32, home uint16, seed int64, ops []byte
 		sw.At().BestVisible(p)
 		if i < 8 {
 			fuzzModels[0].ResolvePath(p, "ES", sw.At())
+			fuzzModels[0].ResolveGround(p, "ES", sw.At(), fv)
 		}
 	}
 	for _, snap := range []*constellation.Snapshot{fuzzConst.Snapshot(at), sw.AdvanceTo(at)} {
@@ -145,6 +160,15 @@ func groundMemoCase(t *testing.T, ms uint32, home uint16, seed int64, ops []byte
 			got, err := m.ResolvePath(pt, iso, snap)
 			if (err != nil) != (wantErr != nil) || got != want {
 				t.Fatalf("t=%v %+v %s:\n got %+v, %v\nwant %+v, %v", at, pt, iso, got, err, want, wantErr)
+			}
+
+			want, wantErr = m.ResolvePathReference(pt, iso, snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks))
+			for pass := 0; pass < 2; pass++ {
+				got, failover, err := m.ResolveGround(pt, iso, snap, fv)
+				if wantErr == nil && (err != nil || failover || got != want) || wantErr != nil && err == nil && !failover {
+					t.Fatalf("t=%v %+v %s fault epoch %d pass %d:\n got %+v, failover %v, %v\nwant %+v, %v",
+						at, pt, iso, fv.Epoch, pass, got, failover, err, want, wantErr)
+				}
 			}
 		}
 	}

@@ -202,9 +202,6 @@ func TestMultiShellGridMatchesScan(t *testing.T) {
 			if gok != wok || gb != wb {
 				t.Fatalf("t=%v %+v best: %+v,%v != %+v,%v", dt, pt, gb, gok, wb, wok)
 			}
-			if gn, wn := s.Nearest(pt), s.NearestScan(pt); gn != wn {
-				t.Fatalf("t=%v %+v nearest: %+v != %+v", dt, pt, gn, wn)
-			}
 		}
 	}
 }
@@ -233,9 +230,6 @@ func TestPolarShellGridMatchesScan(t *testing.T) {
 			wb, wok := s.BestVisibleScan(pt)
 			if gok != wok || gb != wb {
 				t.Fatalf("t=%v %+v best: %+v,%v != %+v,%v", dt, pt, gb, gok, wb, wok)
-			}
-			if gn, wn := s.Nearest(pt), s.NearestScan(pt); gn != wn {
-				t.Fatalf("t=%v %+v nearest: %+v != %+v", dt, pt, gn, wn)
 			}
 		}
 	}

@@ -39,9 +39,6 @@ func assertSnapshotsEquivalent(t *testing.T, got, want *Snapshot, pts []geo.Poin
 		if gok != wok || gb != wb {
 			t.Fatalf("t=%v %+v best: %+v,%v != %+v,%v", want.Time(), p, gb, gok, wb, wok)
 		}
-		if gn, wn := got.Nearest(p), want.Nearest(p); gn != wn {
-			t.Fatalf("t=%v %+v nearest: %+v != %+v", want.Time(), p, gn, wn)
-		}
 	}
 	assertGraphsIdentical(t, got.ISLGraph(), want.ISLGraph())
 	if gm, wm := got.ISLGraph().MaxEdgeWeight(), want.ISLGraph().MaxEdgeWeight(); gm != wm {

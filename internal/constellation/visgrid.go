@@ -169,26 +169,6 @@ func (g *visGrid) maxCentralAngleRad(rg, maxSlant float64) float64 {
 	return math.Acos(worst)
 }
 
-// chordLowerBoundKm returns the smallest possible straight-line distance from
-// a ground point at radius rg to any satellite whose central angle exceeds
-// lamRad. Minimizing d^2(rs) = rg^2 + rs^2 - 2*rg*rs*cos(lam) over
-// rs in [minR, maxR]: the critical point is rs = rg*cos(lam).
-func (g *visGrid) chordLowerBoundKm(rg, lamRad float64) float64 {
-	cosLam := math.Cos(lamRad)
-	best := math.Inf(1)
-	eval := func(rs float64) {
-		if d2 := rg*rg + rs*rs - 2*rg*rs*cosLam; d2 < best {
-			best = d2
-		}
-	}
-	eval(g.minR)
-	eval(g.maxR)
-	if crit := rg * cosLam; crit > g.minR && crit < g.maxR {
-		eval(crit)
-	}
-	return math.Sqrt(math.Max(0, best))
-}
-
 // queryLatLon returns the coordinates a ground query centres its candidate
 // window on. The exact predicate tests the point's ECEF vector gv, and a
 // geo.Point literal need not be normalised: longitude 200 is longitude -160,
@@ -506,35 +486,4 @@ func (g *visGrid) bestVisible(s *Snapshot, ground geo.Point) (VisibleSat, bool) 
 		return VisibleSat{}, false
 	}
 	return best, true
-}
-
-// nearest implements Snapshot.Nearest: an expanding angular window around the
-// ground point. The search stops once the best candidate's chord distance is
-// provably smaller than anything outside the window; a strict-less comparison
-// with lower-id tie-break reproduces the full scan's first-minimum choice.
-func (g *visGrid) nearest(s *Snapshot, ground geo.Point) VisibleSat {
-	gv := ground.ToECEF()
-	rg := gv.Norm()
-	lam := 1.5 * g.geom.latStep * math.Pi / 180
-	lat, lon := queryLatLon(ground, gv)
-	for {
-		bestID := int32(-1)
-		bestD := math.Inf(1)
-		g.forEachCandidate(lat, lon, lam, func(id int32) {
-			d := s.pos[id].Sub(gv).Norm()
-			if d < bestD || (d == bestD && id < bestID) {
-				bestID, bestD = id, d
-			}
-		})
-		if bestID >= 0 && bestD <= g.chordLowerBoundKm(rg, lam) {
-			return VisibleSat{ID: SatID(bestID), SlantKm: bestD, ElevationDeg: geo.ElevationDeg(gv, s.pos[bestID])}
-		}
-		if lam >= math.Pi { // whole sphere scanned
-			if bestID < 0 {
-				return VisibleSat{ID: -1, SlantKm: math.Inf(1)}
-			}
-			return VisibleSat{ID: SatID(bestID), SlantKm: bestD, ElevationDeg: geo.ElevationDeg(gv, s.pos[bestID])}
-		}
-		lam *= 2
-	}
 }

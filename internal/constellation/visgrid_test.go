@@ -13,7 +13,7 @@ import (
 // FuzzVisibility: for any Walker shell New accepts (at most 1,600
 // satellites, optionally composed with the 53 degree shell of
 // TestPolarShellGridMatchesScan), any instant and any ground point, the
-// grid-backed Visible, BestVisible and Nearest equal their full scans — on a
+// grid-backed Visible and BestVisible equal their full scans — on a
 // fresh snapshot and on a sweep cursor that reached the same instant through
 // one long AdvanceTo jump (the exact-recompute fallback) and several 15 s
 // steps (the neighbour-cell migration).
@@ -71,14 +71,7 @@ func FuzzVisibility(f *testing.F) {
 		// The raw literal, not geo.NewPoint: library callers may pass any
 		// float, and the grid must answer what the scan answers.
 		pt := geo.Point{LatDeg: lat, LonDeg: lon}
-		check := func(label string, s *Snapshot) {
-			t.Helper()
-			assertGroundAnswersMatchScan(t, s, pt)
-			if gn, wn := s.Nearest(pt), s.NearestScan(pt); gn != wn {
-				t.Fatalf("%s t=%v %+v nearest: %+v, scan says %+v", label, s.Time(), pt, gn, wn)
-			}
-		}
-		check("snapshot", c.Snapshot(at))
+		assertGroundAnswersMatchScan(t, c.Snapshot(at), pt)
 
 		sw := c.Sweep(0, 0)
 		defer sw.Close()
@@ -87,7 +80,7 @@ func FuzzVisibility(f *testing.F) {
 				sw.AdvanceTo(to)
 			}
 		}
-		check("sweep", sw.At())
+		assertGroundAnswersMatchScan(t, sw.At(), pt)
 	})
 }
 

@@ -46,20 +46,20 @@ func (f *popField) firstDown(sat constellation.SatID) int {
 	return sort.Search(len(f.downs), func(i int) bool { return f.downs[i].sat >= sat })
 }
 
-// fieldFor returns the PoP's field over topo. On a healthy snapshot it is
-// memoized in the slot of the PoP's location, keyed by (model, PoP), and
-// published like a ground path: racing first callers each build one and
-// all adopt the winner's, so they share its settling. The slot dies with
-// the snapshot's generation, so a sweep advance never serves a field of an
-// earlier step. A masked view, or a snapshot whose memo is full, gets a
-// field of its own per call. Errors are not memoized.
-func (m *Model) fieldFor(topo topology, pop groundseg.PoP) (*popField, error) {
+// fieldFor returns the PoP's field over topo. Where topo names a snapshot
+// it is memoized in the slot of the PoP's location, keyed by (model, PoP,
+// fault epoch), and published like a ground path: racing first callers each
+// build one and all adopt the winner's, so they share its settling. The slot
+// dies with the snapshot's generation, so a sweep advance never serves a
+// field of an earlier step. Without a snapshot, or on one whose memo is
+// full, the call gets a field of its own. Errors are not memoized.
+func (m *Model) fieldFor(topo groundTopo, pop groundseg.PoP) (*popField, error) {
 	var slot *atomic.Pointer[any]
-	if snap, ok := topo.(*constellation.Snapshot); ok {
-		slot = snap.PointSlot(pop.Loc)
+	if topo.snap != nil {
+		slot = topo.snap.PointSlot(pop.Loc)
 	}
 	if slot != nil {
-		if list, i := m.find(slot.Load(), pop.Name, true); i >= 0 {
+		if list, i := m.find(slot.Load(), pop.Name, topo.epoch, true); i >= 0 {
 			return list[i].field, nil
 		}
 	}
@@ -67,7 +67,7 @@ func (m *Model) fieldFor(topo topology, pop groundseg.PoP) (*popField, error) {
 	if err != nil || slot == nil {
 		return f, err
 	}
-	return m.publish(slot, groundEntry{model: m, key: pop.Name, field: f}).field, nil
+	return m.publish(slot, groundEntry{model: m, key: pop.Name, epoch: topo.epoch, field: f}).field, nil
 }
 
 // newField builds the PoP's field over topo; nothing is settled yet.

@@ -10,6 +10,12 @@ import (
 	"spacecdn/internal/geo"
 )
 
+// healthyTopo is the healthy fault state of snap, its fields memoized in
+// its point memo.
+func healthyTopo(snap *constellation.Snapshot) groundTopo {
+	return groundTopo{snap, snap, 0}
+}
+
 // memoizedFields returns the PoP fields the point's slot holds.
 func memoizedFields(snap *constellation.Snapshot, loc geo.Point) []groundEntry {
 	slot := snap.PointSlot(loc)
@@ -55,10 +61,10 @@ func assertMatchesReference(t *testing.T, name string, m *Model, ref topology, g
 // TestGroundStageMatchesReference holds the field-guided ground stage to
 // ResolvePathReference where its field lives differently: on a sweep cursor
 // stepped forward (its slot dies with the step, so no stale field is
-// served), on a masked view (a field per call, over the masked graph), on a
-// snapshot whose ground memo is full (PointSlot nil: nothing memoized), and
-// for two models with different catalogs on one snapshot (each its own
-// field per PoP).
+// served), on a masked view (over the masked graph, memoized under the
+// fault epoch), on a snapshot whose ground memo is full (PointSlot nil:
+// nothing memoized), and for two models with different catalogs on one
+// snapshot (each its own field per PoP).
 func TestGroundStageMatchesReference(t *testing.T) {
 	m := testModel()
 	t.Run("sweep", func(t *testing.T) {
@@ -77,10 +83,17 @@ func TestGroundStageMatchesReference(t *testing.T) {
 		at := 17 * time.Minute
 		view := degraded(testConst.Snapshot(at))
 		ref := degraded(testConst.Snapshot(at))
-		assertMatchesReference(t, "masked", m, ref, func(city geo.City) (Path, error) {
-			pop, _ := m.Ground.AssignPoPForClient(city.Country, city.Loc)
-			return m.resolvePathVia(view, city.Loc, pop)
-		})
+		topo := groundTopo{view, view.Snapshot(), view.Epoch()}
+		for pass := 0; pass < 2; pass++ {
+			assertMatchesReference(t, "masked", m, ref, func(city geo.City) (Path, error) {
+				pop, _ := m.Ground.AssignPoPForClient(city.Country, city.Loc)
+				return m.resolvePathVia(topo, city.Loc, pop)
+			})
+		}
+		fra, _ := m.Ground.PoPByName("fra")
+		if got := memoizedFields(view.Snapshot(), fra.Loc); len(got) != 1 || got[0].epoch != view.Epoch() {
+			t.Fatalf("the Frankfurt slot holds fields %+v, want one under fault epoch %d", got, view.Epoch())
+		}
 	})
 	t.Run("full memo", func(t *testing.T) {
 		at := 23 * time.Minute
@@ -143,7 +156,7 @@ func TestGroundComputeAllocs(t *testing.T) {
 	}
 	i := 0
 	if a := testing.AllocsPerRun(runs, func() {
-		if _, err := m.resolvePathVia(snap, pts[i%len(pts)], pop); err != nil {
+		if _, err := m.resolvePathVia(healthyTopo(snap), pts[i%len(pts)], pop); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -180,7 +193,7 @@ func TestFieldPublishConcurrentFirstCallers(t *testing.T) {
 			go func(out []*popField, g int) {
 				defer wg.Done()
 				for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(pops)) {
-					if f, err := m.fieldFor(snap, pops[i]); err == nil {
+					if f, err := m.fieldFor(healthyTopo(snap), pops[i]); err == nil {
 						f.tree.Dist(0) // settle the shared field concurrently too
 						out[i] = f
 					}

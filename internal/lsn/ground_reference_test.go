@@ -43,11 +43,12 @@ func TestResolvePathViaMatchesExhaustive(t *testing.T) {
 		at := time.Duration(k)*period/instants + 7*time.Second
 		got, want := testConst.Snapshot(at), testConst.Snapshot(at)
 		for _, topo := range []struct {
-			name      string
-			got, want topology
+			name string
+			got  groundTopo
+			want topology
 		}{
-			{"healthy", got, want},
-			{"degraded", degraded(got), degraded(want)},
+			{"healthy", healthyTopo(got), want},
+			{"degraded", groundTopo{degraded(got), got, 1}, degraded(want)},
 		} {
 			for _, city := range geo.Cities() {
 				pop, ok := m.Ground.AssignPoPForClient(city.Country, city.Loc)
@@ -117,7 +118,7 @@ func TestResolvePathViaKeepsEarlierCandidateOnTies(t *testing.T) {
 		g.AddUndirected(1, 2, tc.w[2])
 		g.AddUndirected(1, 3, tc.w[3])
 		topo := tieTopology{client: client, g: g}
-		p, err := m.resolvePathVia(topo, client, pop)
+		p, err := m.resolvePathVia(groundTopo{topology: topo}, client, pop)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

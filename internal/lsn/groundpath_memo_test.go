@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"spacecdn/internal/constellation"
+	"spacecdn/internal/faults"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/groundseg"
 	"spacecdn/internal/routing"
+	"spacecdn/internal/telemetry"
 )
 
 // coveredCities returns the embedded cities of Starlink-covered countries:
@@ -40,10 +42,10 @@ func expandedModel() *Model {
 func (m *Model) unmemoizedPath(fresh *constellation.Snapshot, client geo.Point, iso2 string) (Path, error) {
 	pop, ok := m.Ground.AssignPoPForClient(iso2, client)
 	if !ok {
-		_, err := m.resolvePath(client, iso2, fresh)
+		_, _, err := m.resolveGround(client, iso2, fresh, nil)
 		return Path{}, err
 	}
-	return m.resolvePathVia(fresh, client, pop)
+	return m.resolvePathVia(healthyTopo(fresh), client, pop)
 }
 
 // assertMemoizedPath asks ResolvePath twice — the miss that computes and
@@ -276,8 +278,7 @@ func TestGroundPathMemoNeverServesDegraded(t *testing.T) {
 		epoch++
 		dead := routing.NewBitset(testConst.Total())
 		dead.Set(int(healthy.DownSat))
-		view := snap.Masked(epoch, dead, nil)
-		p, _, err := m.ResolvePathDegraded(city.Loc, city.Country, view, nil)
+		p, _, err := m.ResolveGround(city.Loc, city.Country, snap, &faults.View{Epoch: epoch, DeadSats: dead})
 		if err == nil && (p.UpSat == healthy.DownSat || p.DownSat == healthy.DownSat) {
 			t.Fatalf("%s: degraded path %+v uses dead satellite %d", city.Name, p, healthy.DownSat)
 		}
@@ -287,5 +288,50 @@ func TestGroundPathMemoNeverServesDegraded(t *testing.T) {
 	}
 	if epoch == 0 {
 		t.Fatal("no covered city resolved; the test proves nothing")
+	}
+}
+
+// TestGroundPathMemoKeysOnFaultEpoch: the memo keys a ground path on the
+// fault view's epoch, not on the masked view's. With only the assigned PoP
+// dark no satellite is masked, so the masked view is the pass-through one
+// (epoch 0) and a key taken from it would serve the healthy path to the dead
+// PoP. Under the view the path fails over to another PoP, a repeat is a memo
+// hit with the same path and flag, and the healthy path is untouched.
+func TestGroundPathMemoKeysOnFaultEpoch(t *testing.T) {
+	m := testModel()
+	tel := telemetry.New(0)
+	m.SetTelemetry(tel)
+	t.Cleanup(func() { m.SetTelemetry(nil) })
+	computed := func() int64 {
+		hv, _ := tel.Snapshot().Histogram("lsn_path_compute_us")
+		return hv.Count
+	}
+	snap := testConst.Snapshot(5 * time.Minute)
+	madrid := mustCity(t, "Madrid, ES")
+	healthy, err := m.ResolvePath(madrid.Loc, "ES", snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fv := &faults.View{Epoch: 3, DeadPoPs: map[string]bool{healthy.PoP.Name: true}}
+	if v := snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks); v.Epoch() != 0 {
+		t.Fatalf("a PoP-only fault state masked to epoch %d, want the pass-through view", v.Epoch())
+	}
+	p, failover, err := m.ResolveGround(madrid.Loc, "ES", snap, fv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failover || p.PoP.Name == healthy.PoP.Name {
+		t.Fatalf("dead PoP %s: served %s, failover %v", healthy.PoP.Name, p.PoP.Name, failover)
+	}
+	before := computed()
+	again, againFO, err := m.ResolveGround(madrid.Loc, "ES", snap, fv)
+	if err != nil || again != p || !againFO {
+		t.Fatalf("repeat: %+v, failover %v, %v; first %+v", again, againFO, err, p)
+	}
+	if n := computed(); n != before {
+		t.Fatalf("the repeat computed (%d computations, was %d): not a memo hit", n, before)
+	}
+	if got, _ := m.ResolvePath(madrid.Loc, "ES", snap); got != healthy {
+		t.Fatalf("healthy path changed after a degraded resolve: %+v, was %+v", got, healthy)
 	}
 }

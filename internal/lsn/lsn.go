@@ -19,14 +19,17 @@
 package lsn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"spacecdn/internal/constellation"
+	"spacecdn/internal/faults"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/groundseg"
 	"spacecdn/internal/orbit"
@@ -91,10 +94,10 @@ type Model struct {
 }
 
 // SetTelemetry wires path-computation observability: a wall-time histogram
-// of path computations — ResolvePath's memo misses and errors, and every
-// ResolvePathDegraded; a computation is one field-guided search per uplink
-// tried, plus the PoP's field where it is not yet built or settled that far
-// — and an error counter. Pass nil to disable.
+// of path computations — ResolveGround's memo misses and errors, each one
+// field-guided search per uplink tried for each PoP tried, plus the PoP's
+// field where it is not yet built or settled that far — and an error
+// counter. Pass nil to disable.
 func (m *Model) SetTelemetry(t *telemetry.Telemetry) {
 	if t == nil {
 		m.pathDurUs = nil
@@ -149,60 +152,94 @@ func (p Path) String() string {
 // by elevation captures that without scanning the whole sky.
 const maxUplinkCandidates = 6
 
-// ResolvePath computes the subscriber's path to their assigned PoP at a
-// snapshot. It evaluates the top visible satellites at the terminal against
-// every visible satellite at each ground station homed on the PoP, and picks
-// the pair minimizing total one-way propagation — modelling an operator that
-// schedules terminals and gateways onto the cheapest space path.
-//
-// The answer is a pure function of (model, snapshot, client point, country),
-// and clients sit at a few hundred fixed points, so it is memoized per
-// snapshot in the client point's ground-memo slot: a hit is a probe and a
-// struct copy, no lock, no allocation and no clock read. Errors are not
-// memoized. A miss prices the path with a search that the PoP's reverse
-// field guides (resolvePathVia); the field is memoized the same way, in the
-// slot of the PoP's location. The path telemetry observes computations
-// only, so a warm snapshot records nothing.
+// ResolvePath is ResolveGround at a healthy snapshot: the subscriber's path
+// to their assigned PoP, with no fault view and so no failover.
 func (m *Model) ResolvePath(client geo.Point, iso2 string, snap *constellation.Snapshot) (Path, error) {
+	p, _, err := m.ResolveGround(client, iso2, snap, nil)
+	return p, err
+}
+
+// ResolveGround computes the subscriber's ground path at a snapshot in the
+// fault state fv (nil or empty: healthy). It evaluates the top visible
+// satellites at the terminal against every visible satellite at each ground
+// station homed on the PoP, and picks the pair minimizing total one-way
+// propagation — an operator scheduling terminals and gateways onto the
+// cheapest space path. Under a non-empty view it prices over the snapshot's
+// masked view for fv and fails over: the assigned PoP unless it is dark,
+// then the other live PoPs nearest-first from the client (ties by name)
+// until one resolves. failover reports that the served PoP is not the
+// assigned one; an error means no PoP is reachable. A healthy call never
+// fails over.
+//
+// The answer is a pure function of (model, snapshot, fault state, point,
+// country), and clients sit at a few hundred fixed points, so it is
+// memoized in the point's ground-memo slot under fv's fault epoch: a hit is
+// a probe and a struct copy, no lock, no allocation, no clock read. Errors
+// are not memoized. A miss prices each PoP it tries with a search that the
+// PoP's reverse field guides (resolvePathVia); the field is memoized the
+// same way, in the slot of the PoP's location. Telemetry observes misses
+// only.
+func (m *Model) ResolveGround(client geo.Point, iso2 string, snap *constellation.Snapshot, fv *faults.View) (Path, bool, error) {
+	var epoch uint64
+	if fv != nil && !fv.Empty() {
+		epoch = fv.Epoch
+	} else {
+		fv = nil
+	}
 	slot := snap.PointSlot(client)
 	if slot != nil {
-		if list, i := m.find(slot.Load(), iso2, false); i >= 0 {
-			return list[i].path, nil
+		if list, i := m.find(slot.Load(), iso2, epoch, false); i >= 0 {
+			return list[i].path, list[i].failover, nil
 		}
 	}
-	start := m.startCompute()
-	p, err := m.resolvePath(client, iso2, snap)
-	m.observeCompute(start, err)
-	if err == nil && slot != nil {
-		m.publish(slot, groundEntry{model: m, key: iso2, path: p})
+	var start time.Time
+	if m.pathDurUs != nil {
+		start = time.Now()
 	}
-	return p, err
+	p, failover, err := m.resolveGround(client, iso2, snap, fv)
+	if m.pathDurUs != nil {
+		m.pathDurUs.Observe(float64(time.Since(start)) / float64(time.Microsecond))
+		if err != nil {
+			m.pathErrs.Inc()
+		}
+	}
+	if err == nil && slot != nil {
+		m.publish(slot, groundEntry{model: m, key: iso2, epoch: epoch, path: p, failover: failover})
+	}
+	return p, failover, err
 }
 
 // groundEntry is one value this package keeps in a ground point's memo slot
 // (constellation.Snapshot.PointSlot). A slot holds a copy-on-write list of
-// them: the ground path of a client at the point, per (model, country), and
-// the reverse field of a PoP at the point, per (model, PoP). Two models
-// over one snapshot can carry different ground catalogs, so the model is
-// part of both keys; the country picks the PoP. This package owns the
-// slot's type.
+// them: the ground path of a client at the point, per (model, country, fault
+// epoch), and the reverse field of a PoP at the point, per (model, PoP,
+// fault epoch). Two models over one snapshot can carry different ground
+// catalogs, so the model is part of both keys; the country picks the PoP.
+//
+// The fault epoch is faults.View.Epoch (0 healthy), never the masked
+// view's: with only PoPs down the masked view is the pass-through one,
+// epoch 0, and that key would serve the healthy path to a dead PoP. The key
+// inherits Snapshot.Masked's contract: on one snapshot, one fault epoch
+// describes one fault state. This package owns the slot's type.
 type groundEntry struct {
-	model *Model
-	key   string    // the client's country, or the field's PoP name
-	field *popField // nil for a ground path
-	path  Path
+	model    *Model
+	key      string // the client's country, or the field's PoP name
+	epoch    uint64
+	field    *popField // nil for a ground path
+	path     Path
+	failover bool // the path is not to the assigned PoP
 }
 
 // find returns the list a slot value holds (nil for an empty slot) and the
-// index in it of m's ground path for key, or of m's field for key when
-// field is true; -1 when absent.
-func (m *Model) find(v *any, key string, field bool) ([]groundEntry, int) {
+// index in it of m's ground path for (key, epoch), or of m's field for them
+// when field is true; -1 when absent.
+func (m *Model) find(v *any, key string, epoch uint64, field bool) ([]groundEntry, int) {
 	if v == nil {
 		return nil, -1
 	}
 	list := (*v).([]groundEntry)
 	for i := range list {
-		if e := &list[i]; e.model == m && e.key == key && (e.field != nil) == field {
+		if e := &list[i]; e.model == m && e.key == key && e.epoch == epoch && (e.field != nil) == field {
 			return list, i
 		}
 	}
@@ -217,7 +254,7 @@ func (m *Model) find(v *any, key string, field bool) ([]groundEntry, int) {
 func (m *Model) publish(slot *atomic.Pointer[any], e groundEntry) groundEntry {
 	for {
 		old := slot.Load()
-		list, i := m.find(old, e.key, e.field != nil)
+		list, i := m.find(old, e.key, e.epoch, e.field != nil)
 		if i >= 0 {
 			return list[i]
 		}
@@ -225,26 +262,6 @@ func (m *Model) publish(slot *atomic.Pointer[any], e groundEntry) groundEntry {
 		if slot.CompareAndSwap(old, &next) {
 			return e
 		}
-	}
-}
-
-// startCompute reads the clock for a path computation when telemetry is
-// attached.
-func (m *Model) startCompute() time.Time {
-	if m.pathDurUs == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeCompute records one path computation started at start.
-func (m *Model) observeCompute(start time.Time, err error) {
-	if m.pathDurUs == nil {
-		return
-	}
-	m.pathDurUs.Observe(float64(time.Since(start)) / float64(time.Microsecond))
-	if err != nil {
-		m.pathErrs.Inc()
 	}
 }
 
@@ -256,9 +273,7 @@ func (m *Model) observeCompute(start time.Time, err error) {
 // one snapshot thousands of times, and re-enumerating a visible list that
 // grows with the constellation made the ground stage degrade linearly in
 // satellite count. The shared lists are read-only here — the uplink list is
-// only re-sliced, never written. Only a healthy snapshot memoizes — whole
-// paths in ResolvePath, PoP fields in fieldFor — so a degraded epoch is
-// never served a path or a field through a dead satellite.
+// only re-sliced, never written.
 //
 // The ISL graph must be undirected, as every ISL graph is: a PoP's field is
 // a search from its downlink satellites outward, read as the cost from a
@@ -268,16 +283,57 @@ type topology interface {
 	ISLGraph() *routing.Graph
 }
 
-func (m *Model) resolvePath(client geo.Point, iso2 string, snap *constellation.Snapshot) (Path, error) {
-	pop, ok := m.Ground.AssignPoPForClient(iso2, client)
+// groundTopo is one fault state of a snapshot as the ground stage prices it:
+// the topology (the snapshot or its masked view), and the snapshot and fault
+// epoch its PoP fields are memoized under. A nil snap memoizes no field.
+type groundTopo struct {
+	topology
+	snap  *constellation.Snapshot
+	epoch uint64
+}
+
+// resolveGround is ResolveGround's computation; fv is nil when healthy.
+func (m *Model) resolveGround(client geo.Point, iso2 string, snap *constellation.Snapshot, fv *faults.View) (Path, bool, error) {
+	assigned, ok := m.Ground.AssignPoPForClient(iso2, client)
 	if !ok {
-		return Path{}, fmt.Errorf("lsn: no PoP assignment for country %q", iso2)
+		return Path{}, false, fmt.Errorf("lsn: no PoP assignment for country %q", iso2)
 	}
-	return m.resolvePathVia(snap, client, pop)
+	g := groundTopo{snap, snap, 0}
+	if fv != nil {
+		g = groundTopo{snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks), snap, fv.Epoch}
+	}
+	var lastErr error
+	if fv == nil || !fv.PoPDead(assigned.Name) {
+		p, err := m.resolvePathVia(g, client, assigned)
+		if err == nil || fv == nil {
+			return p, false, err
+		}
+		lastErr = err
+	}
+	// Failover sweep: every other live PoP, nearest to the client first
+	// (ties broken by name for determinism).
+	pops := m.Ground.PoPs()
+	slices.SortFunc(pops, func(a, b groundseg.PoP) int {
+		return cmp.Or(cmp.Compare(geo.HaversineKm(client, a.Loc), geo.HaversineKm(client, b.Loc)), strings.Compare(a.Name, b.Name))
+	})
+	for _, pop := range pops {
+		if pop.Name == assigned.Name || fv.PoPDead(pop.Name) {
+			continue
+		}
+		p, err := m.resolvePathVia(g, client, pop)
+		if err == nil {
+			return p, true, nil
+		}
+		lastErr = err
+	}
+	if lastErr == nil {
+		lastErr = fmt.Errorf("lsn: every PoP is blacked out")
+	}
+	return Path{}, true, fmt.Errorf("lsn: degraded: no reachable PoP for country %q: %w", iso2, lastErr)
 }
 
 // resolvePathVia prices the client's path to one fixed PoP over the given
-// topology — the PoP-assignment-free core of resolvePath. The answer is the
+// topology — the PoP-assignment-free core of resolveGround. The answer is the
 // first cheapest (uplink, station, downlink) triple in that enumeration
 // order, as ResolvePathReference prices them all, but it searches only the
 // ISL corridor between the uplinks and the PoP.
@@ -295,7 +351,7 @@ func (m *Model) resolvePath(client geo.Point, iso2 string, snap *constellation.S
 // left-fold sum from the uplink — so the ISL delay is bit-identical, and
 // the microsecond of margin on every bound absorbs the float rounding of the
 // field's sums and the nanosecond truncation of delays.
-func (m *Model) resolvePathVia(topo topology, client geo.Point, pop groundseg.PoP) (Path, error) {
+func (m *Model) resolvePathVia(topo groundTopo, client geo.Point, pop groundseg.PoP) (Path, error) {
 	ups := topo.VisibleShared(client)
 	if len(ups) == 0 {
 		return Path{}, fmt.Errorf("%w: client at %v", ErrNoVisibility, client)
@@ -403,63 +459,6 @@ func (s *groundSearch) visit(v routing.NodeID, distMs float64, hops int) float64
 		}
 	}
 	return s.bound()
-}
-
-// ResolvePathDegraded computes the subscriber path over a fault-masked
-// constellation view, failing over blacked-out PoPs: the healthy country
-// assignment is tried first; when it is dark or unreachable over the
-// surviving topology, the remaining live PoPs are tried nearest-first from
-// the client until one resolves. failover reports whether the served PoP
-// differs from the healthy assignment. deadPoP marks blacked-out PoPs by
-// name (nil means all alive). An error means no PoP is reachable at all —
-// no ground path exists in this fault state. Telemetry observes it like
-// ResolvePath.
-func (m *Model) ResolvePathDegraded(client geo.Point, iso2 string, view *constellation.MaskedView, deadPoP func(string) bool) (Path, bool, error) {
-	start := m.startCompute()
-	p, failover, err := m.resolvePathDegraded(client, iso2, view, deadPoP)
-	m.observeCompute(start, err)
-	return p, failover, err
-}
-
-func (m *Model) resolvePathDegraded(client geo.Point, iso2 string, view *constellation.MaskedView, deadPoP func(string) bool) (Path, bool, error) {
-	assigned, ok := m.Ground.AssignPoPForClient(iso2, client)
-	if !ok {
-		return Path{}, false, fmt.Errorf("lsn: no PoP assignment for country %q", iso2)
-	}
-	dead := func(name string) bool { return deadPoP != nil && deadPoP(name) }
-	var lastErr error
-	if !dead(assigned.Name) {
-		p, err := m.resolvePathVia(view, client, assigned)
-		if err == nil {
-			return p, false, nil
-		}
-		lastErr = err
-	}
-	// Failover sweep: every other live PoP, nearest to the client first
-	// (ties broken by name for determinism).
-	pops := m.Ground.PoPs()
-	sort.Slice(pops, func(i, j int) bool {
-		di := geo.HaversineKm(client, pops[i].Loc)
-		dj := geo.HaversineKm(client, pops[j].Loc)
-		if di != dj {
-			return di < dj
-		}
-		return pops[i].Name < pops[j].Name
-	})
-	for _, pop := range pops {
-		if pop.Name == assigned.Name || dead(pop.Name) {
-			continue
-		}
-		p, err := m.resolvePathVia(view, client, pop)
-		if err == nil {
-			return p, true, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("lsn: every PoP is blacked out")
-	}
-	return Path{}, true, fmt.Errorf("lsn: degraded: no reachable PoP for country %q: %w", iso2, lastErr)
 }
 
 // MinRTTToPoP returns the floor round-trip time from the client to its PoP:

@@ -4,10 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"spacecdn/internal/faults"
 	"spacecdn/internal/routing"
 )
 
-func TestResolvePathDegradedHealthyMatchesResolvePath(t *testing.T) {
+func TestResolveGroundHealthyViewMatchesResolvePath(t *testing.T) {
 	m := testModel()
 	snap := testConst.Snapshot(0)
 	madrid := mustCity(t, "Madrid, ES")
@@ -15,8 +16,7 @@ func TestResolvePathDegradedHealthyMatchesResolvePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := snap.Masked(0, nil, nil)
-	got, failover, err := m.ResolvePathDegraded(madrid.Loc, "ES", view, nil)
+	got, failover, err := m.ResolveGround(madrid.Loc, "ES", snap, &faults.View{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +28,12 @@ func TestResolvePathDegradedHealthyMatchesResolvePath(t *testing.T) {
 	}
 }
 
-func TestResolvePathDegradedDeadPoPFailsOver(t *testing.T) {
+func TestResolveGroundDeadPoPFailsOver(t *testing.T) {
 	m := testModel()
 	snap := testConst.Snapshot(0)
 	madrid := mustCity(t, "Madrid, ES")
-	view := snap.Masked(0, nil, nil)
-	dead := func(name string) bool { return name == "mad" }
-	p, failover, err := m.ResolvePathDegraded(madrid.Loc, "ES", view, dead)
+	fv := &faults.View{Epoch: 1, DeadPoPs: map[string]bool{"mad": true}}
+	p, failover, err := m.ResolveGround(madrid.Loc, "ES", snap, fv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +57,15 @@ func TestResolvePathDegradedDeadPoPFailsOver(t *testing.T) {
 	}
 }
 
-func TestResolvePathDegradedAllPoPsDeadErrors(t *testing.T) {
+func TestResolveGroundAllPoPsDeadErrors(t *testing.T) {
 	m := testModel()
 	snap := testConst.Snapshot(0)
 	madrid := mustCity(t, "Madrid, ES")
-	view := snap.Masked(0, nil, nil)
-	dead := func(string) bool { return true }
-	_, failover, err := m.ResolvePathDegraded(madrid.Loc, "ES", view, dead)
+	fv := &faults.View{Epoch: 1, DeadPoPs: map[string]bool{}}
+	for _, pop := range m.Ground.PoPs() {
+		fv.DeadPoPs[strings.ToLower(pop.Name)] = true
+	}
+	_, failover, err := m.ResolveGround(madrid.Loc, "ES", snap, fv)
 	if err == nil {
 		t.Fatal("all PoPs dead must error")
 	}
@@ -73,7 +74,7 @@ func TestResolvePathDegradedAllPoPsDeadErrors(t *testing.T) {
 	}
 }
 
-func TestResolvePathDegradedRoutesAroundDeadUplink(t *testing.T) {
+func TestResolveGroundRoutesAroundDeadUplink(t *testing.T) {
 	m := testModel()
 	snap := testConst.Snapshot(0)
 	madrid := mustCity(t, "Madrid, ES")
@@ -83,8 +84,7 @@ func TestResolvePathDegradedRoutesAroundDeadUplink(t *testing.T) {
 	}
 	deadSats := routing.NewBitset(testConst.Total())
 	deadSats.Set(int(healthy.UpSat))
-	view := snap.Masked(1, deadSats, nil)
-	p, failover, err := m.ResolvePathDegraded(madrid.Loc, "ES", view, nil)
+	p, failover, err := m.ResolveGround(madrid.Loc, "ES", snap, &faults.View{Epoch: 1, DeadSats: deadSats})
 	if err != nil {
 		t.Fatal(err)
 	}

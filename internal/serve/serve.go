@@ -386,7 +386,8 @@ func (s *Server) Stats() Stats {
 }
 
 // handler mounts /resolve next to the full telemetry introspection surface
-// (/metrics /series /traces /healthz /debug/pprof).
+// (/metrics /traces /healthz /debug/pprof, and /series once a series
+// collector is attached to the telemetry; 404 until then).
 func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/resolve", s.handleResolve)

@@ -21,6 +21,7 @@ import (
 	"spacecdn/internal/lsn"
 	"spacecdn/internal/spacecdn"
 	"spacecdn/internal/stats"
+	"spacecdn/internal/telemetry"
 )
 
 var (
@@ -186,6 +187,27 @@ func TestServeHTTP(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("clean shutdown: %v", err)
+	}
+}
+
+// TestSeriesNeedsCollector: /series is 404 on a server whose telemetry has
+// no series collector, and serves the windowed series through the same
+// handler once one is attached.
+func TestSeriesNeedsCollector(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Seed: 4})
+	h := srv.handler()
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/series", nil))
+		return rec
+	}
+	if rec := get(); rec.Code != http.StatusNotFound {
+		t.Fatalf("/series without a collector: %d %q, want 404", rec.Code, rec.Body.String())
+	}
+	tel := srv.Telemetry()
+	tel.SetSeries(telemetry.NewSeriesCollector(tel.Registry(), time.Minute, 0))
+	if rec := get(); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"windowNs"`) {
+		t.Fatalf("/series with a collector: %d %q", rec.Code, rec.Body.String())
 	}
 }
 

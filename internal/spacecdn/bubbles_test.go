@@ -21,17 +21,27 @@ func bubbleCatalog(t *testing.T) *content.Catalog {
 	return cat
 }
 
+// overhead returns the satellite serving pt at snap.
+func overhead(t *testing.T, snap *constellation.Snapshot, pt geo.Point) constellation.VisibleSat {
+	t.Helper()
+	best, ok := snap.BestVisible(pt)
+	if !ok {
+		t.Fatalf("no satellite visible from %v", pt)
+	}
+	return best
+}
+
 func TestRegionUnder(t *testing.T) {
 	s := newSystem(t, DefaultConfig())
 	m := NewBubbleManager(s, bubbleCatalog(t), BubbleConfig{TopN: 20, Lookahead: 0})
 	snap := testConst.Snapshot(0)
 	// The satellite over Frankfurt should be in the European bubble; the one
 	// over Nairobi in the African one.
-	fra := snap.Nearest(geo.NewPoint(50.11, 8.68))
+	fra := overhead(t, snap, geo.NewPoint(50.11, 8.68))
 	if r := m.RegionUnder(fra.ID, 0); r != geo.RegionEurope {
 		t.Errorf("region under Frankfurt sat = %v", r)
 	}
-	nbo := snap.Nearest(geo.NewPoint(-1.29, 36.82))
+	nbo := overhead(t, snap, geo.NewPoint(-1.29, 36.82))
 	if r := m.RegionUnder(nbo.ID, 0); r != geo.RegionAfrica {
 		t.Errorf("region under Nairobi sat = %v", r)
 	}
@@ -51,7 +61,7 @@ func TestBubbleUpdatePrefetches(t *testing.T) {
 	}
 	// The satellite over Nairobi must now hold Africa's hottest object.
 	snap := testConst.Snapshot(0)
-	nbo := snap.Nearest(geo.NewPoint(-1.29, 36.82))
+	nbo := overhead(t, snap, geo.NewPoint(-1.29, 36.82))
 	hot := cat.ByRank(geo.RegionAfrica, 0)
 	if !s.HasObject(nbo.ID, hot.ID, 0) {
 		t.Error("hottest African object not prefetched over Nairobi")

@@ -349,7 +349,7 @@ func TestResolveAllWorkerInvarianceUnderFaults(t *testing.T) {
 	// view can have been consulted.
 	s, reqs, snap := fixture()
 	ep := s.NewEpoch(1, snap)
-	if !ep.Degraded() || ep.topo != ep.view || ep.view != snap.Masked(ep.fv.Epoch, ep.fv.DeadSats, ep.fv.DeadLinks) {
+	if !ep.Degraded() || ep.topo != topology(snap.Masked(ep.fv.Epoch, ep.fv.DeadSats, ep.fv.DeadLinks)) {
 		t.Fatalf("epoch at %v must pin the snapshot's shared masked view", snap.Time())
 	}
 	s.SetFaultPlan(nil)
@@ -369,7 +369,9 @@ func TestResolveAllWorkerInvarianceUnderFaults(t *testing.T) {
 }
 
 // TestDegradedTelemetryCounters checks the labelled failover counters and
-// degraded histograms advance when telemetry is attached.
+// degraded histograms advance when telemetry is attached. Repeats of the
+// ground-served request on the one degraded epoch are ground-memo hits —
+// one path computation in all — and each still counts its PoP failover.
 func TestDegradedTelemetryCounters(t *testing.T) {
 	city := geo.NewPoint(40.4168, -3.7038)
 	snap := testConst.Snapshot(0)
@@ -392,23 +394,29 @@ func TestDegradedTelemetryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := testObject("tel-cold")
-	if _, err := s.Resolve(city, "ES", cold, snap, stats.NewRand(6)); err != nil {
-		t.Fatal(err)
+	const coldReqs = 3
+	for i := 0; i < coldReqs; i++ {
+		if _, err := s.Resolve(city, "ES", cold, snap, stats.NewRand(6)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg := tel.Registry()
-	// Both requests re-homed off the dead overhead satellite.
-	if v := reg.Counter("spacecdn_failover_total", "kind", "uplink").Value(); v != 2 {
-		t.Fatalf("uplink failover counter = %d, want 2", v)
+	// Every request re-homed off the dead overhead satellite.
+	if v := reg.Counter("spacecdn_failover_total", "kind", "uplink").Value(); v != 1+coldReqs {
+		t.Fatalf("uplink failover counter = %d, want %d", v, 1+coldReqs)
 	}
-	if v := reg.Counter("spacecdn_failover_total", "kind", "pop").Value(); v != 1 {
-		t.Fatalf("pop failover counter = %d, want 1", v)
+	if v := reg.Counter("spacecdn_failover_total", "kind", "pop").Value(); v != coldReqs {
+		t.Fatalf("pop failover counter = %d, want %d", v, coldReqs)
+	}
+	if hv, _ := tel.Snapshot().Histogram("lsn_path_compute_us"); hv.Count != 1 {
+		t.Fatalf("lsn_path_compute_us count = %d, want 1: the repeats must be memo hits", hv.Count)
 	}
 	srcBuckets := make([]float64, numSources)
 	for i := range srcBuckets {
 		srcBuckets[i] = float64(i)
 	}
-	if n := reg.Histogram("spacecdn_degraded_source", srcBuckets).Count(); n != 2 {
-		t.Fatalf("degraded source histogram count = %d, want 2", n)
+	if n := reg.Histogram("spacecdn_degraded_source", srcBuckets).Count(); n != 1+coldReqs {
+		t.Fatalf("degraded source histogram count = %d, want %d", n, 1+coldReqs)
 	}
 }
 

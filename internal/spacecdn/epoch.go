@@ -38,10 +38,10 @@ type Epoch struct {
 	seq  uint64
 	snap *constellation.Snapshot
 	// topo is what resolutions price against: snap or, when at least one
-	// outage is active, view. fv and view are set together and only then.
+	// outage is active, the snapshot's masked view for fv. fv is set only
+	// then; the ground stage takes (snap, fv) and masks on its own.
 	topo topology
 	fv   *faults.View
-	view *constellation.MaskedView
 }
 
 // pin captures the epoch of a snapshot: the attached plan's fault view at
@@ -55,8 +55,7 @@ func (s *System) pin(ep *Epoch, seq uint64, snap *constellation.Snapshot) {
 	if s.faults != nil {
 		if fv := s.faults.ViewAt(snap.Time()); !fv.Empty() {
 			ep.fv = fv
-			ep.view = snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks)
-			ep.topo = ep.view
+			ep.topo = snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/lifecycle"
-	"spacecdn/internal/lsn"
 	"spacecdn/internal/orbit"
 	"spacecdn/internal/parallel"
 	"spacecdn/internal/routing"
@@ -160,8 +159,10 @@ type topology interface {
 // overhead satellite, nearest replica over ISLs, ground via the PoP. Faults
 // choose the topology, lifecycle chooses the classifier, independently:
 //
-//   - a degraded epoch (ep.fv != nil) prices against its masked view and
-//     reroutes in failover order — dead overhead satellite → the next
+//   - a degraded epoch (ep.fv != nil) prices stages 1 and 2 against its
+//     masked view and hands its fault view to the ground stage, whose one
+//     entry point memoizes per fault epoch as it does per healthy snapshot.
+//     It reroutes in failover order — dead overhead satellite → the next
 //     surviving visible one, dead holders and relays → absent from the masked
 //     graph, dead PoP → the next-nearest live one — counting each failover. A
 //     request errors only when no path, space or ground, survives.
@@ -259,24 +260,15 @@ func (s *System) resolveStaged(ep *Epoch, req *Request, rng *stats.Rand, d *reso
 		}
 	}
 
-	// Stage 3: ground fallback through the operator's PoP, failing over
-	// blacked-out PoPs under faults. With an intent this is an origin fetch:
-	// the uplink satellite pulls the object through into its cache (stamped
-	// with the current version), so the next request in the cell is a space
-	// hit.
+	// Stage 3: ground fallback through the operator's PoP, memoized per
+	// fault state, failing over blacked-out PoPs on a degraded epoch. With
+	// an intent this is an origin fetch: the uplink satellite pulls the
+	// object through into its cache (stamped with the current version), so
+	// the next request in the cell is a space hit.
 	if s.lsn == nil {
 		return Resolution{}, fmt.Errorf("%w: %s", ErrObjectNotInSpace, req.Obj.ID)
 	}
-	var (
-		path        lsn.Path
-		popFailover bool
-		err         error
-	)
-	if fv != nil {
-		path, popFailover, err = s.lsn.ResolvePathDegraded(client, req.ISO2, ep.view, fv.PoPDead)
-	} else {
-		path, err = s.lsn.ResolvePath(client, req.ISO2, snap)
-	}
+	path, popFailover, err := s.lsn.ResolveGround(client, req.ISO2, snap, fv)
 	if err != nil {
 		return Resolution{}, fmt.Errorf("%w: %w", ErrNoGroundPath, err)
 	}

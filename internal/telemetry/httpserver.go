@@ -20,7 +20,8 @@ import (
 // Routes:
 //
 //	/metrics        Prometheus text exposition (live registry)
-//	/series         SeriesSnapshot JSON (the windowed series)
+//	/series         SeriesSnapshot JSON (the windowed series); 404 while no
+//	                series collector is attached (checked per request)
 //	/traces         the sampled RequestTraces as JSON, oldest first
 //	/healthz        liveness probe, "ok"
 //	/debug/pprof/*  net/http/pprof profiles
@@ -32,7 +33,11 @@ func Handler(t *Telemetry) http.Handler {
 		// status line is already gone, so there is nothing left to report.
 		_ = t.WritePrometheus(w)
 	})
-	mux.HandleFunc("/series", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/series", func(w http.ResponseWriter, r *http.Request) {
+		if t.Series() == nil {
+			http.NotFound(w, r)
+			return
+		}
 		if d := scrapeDelay; d != nil {
 			d()
 		}

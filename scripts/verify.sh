@@ -25,13 +25,15 @@
 #          callers) at -count=10 -cpu 1,2,4
 #   fuzz   10 s of FuzzResolveQuery: the in-place /resolve query parser
 #          against url.ParseQuery and the coordinate check; then 10 s of
-#          FuzzVisibility: the grid-backed Visible/BestVisible/Nearest of a
+#          FuzzVisibility: the grid-backed Visible/BestVisible of a
 #          fresh snapshot and of an advanced sweep cursor against their full
 #          scans, over random Walker shells, instants and raw ground-point
 #          literals; then 10 s of FuzzGroundMemo: point sequences that collide
 #          in the ground-point memo's table, where BestVisible must equal its
 #          scan and the memoized lsn ResolvePath the exhaustive
-#          ResolvePathReference, on a fresh snapshot and on a sweep cursor;
+#          ResolvePathReference, on a fresh snapshot and on a sweep cursor,
+#          and lsn ResolveGround under a random dead-satellite set must equal
+#          the reference over the masked view or fail over;
 #          then 10 s of FuzzSPTree: random graphs with tied weights, where the
 #          lazy one- and multi-source SPTree and the guided search must equal
 #          a full Dijkstra; then 10 s of FuzzSweep: random Walker shells,
@@ -40,8 +42,9 @@
 #          view built from it must equal a fresh snapshot's bit for bit
 #          (50 s in all)
 #   determinism  build cmd/spacecdn once, run every experiment (-exp all
-#          -json) at -workers 1 and at -workers 4, and require byte-identical
-#          output
+#          -json) and the two fault-plan experiments on their own (-exp
+#          resilience -json, -exp lifecycle -json) at -workers 1 and at
+#          -workers 4, and require byte-identical output for each
 #   benchmod  vet and test the repository benchmark (bench/), a nested module
 #          the root `go test ./...` never sees
 #   smoke  CLI run asserting the telemetry artifact parses with non-zero
@@ -122,12 +125,14 @@ stage_determinism() {
 	out=$(mktemp -d)
 	trap 'rm -rf "$out"' EXIT
 	go build -o "$out/spacecdn" ./cmd/spacecdn
-	"$out/spacecdn" -exp all -json -workers 1 >"$out/w1.json"
-	"$out/spacecdn" -exp all -json -workers 4 >"$out/w4.json"
-	if ! cmp "$out/w1.json" "$out/w4.json"; then
-		echo "-exp all -json differs between -workers 1 and -workers 4" >&2
-		exit 1
-	fi
+	for exp in all resilience lifecycle; do
+		"$out/spacecdn" -exp "$exp" -json -workers 1 >"$out/w1.json"
+		"$out/spacecdn" -exp "$exp" -json -workers 4 >"$out/w4.json"
+		if ! cmp "$out/w1.json" "$out/w4.json"; then
+			echo "-exp $exp -json differs between -workers 1 and -workers 4" >&2
+			exit 1
+		fi
+	done
 }
 
 stage_fuzz() {
